@@ -96,8 +96,11 @@ def _get(section: dict, key: str, kind, default=None, where: str = ""):
         if default is not None:
             return default
         raise ConfigError(f"missing '{key}' in [{where}]")
+    value = section[key]
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"bad '{key}' in [{where}]: expected an integer, got {value!r}")
     try:
-        return kind(section[key])
+        return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad '{key}' in [{where}]: {exc}") from exc
 
@@ -196,7 +199,13 @@ def _resolve_noise(cfg_noise: dict, h: model.SystemHamiltonian) -> noise.Fluctua
         raise ConfigError("missing 'strength_cm1' in [noise]")
     gamma = _get(cfg_noise, "switching_rate_thz", float, where="noise")
     f = _get(cfg_noise, "fluctuators_per_site", int, default=1, where="noise")
-    strengths = np.broadcast_to(np.asarray(strength, dtype=np.float64), (h.n_sites,))
+    try:
+        strengths = np.broadcast_to(np.asarray(strength, dtype=np.float64), (h.n_sites,))
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"'strength_cm1' in [noise] must be a number or a list of {h.n_sites} "
+            f"numbers, got {strength!r}"
+        ) from None
     return noise.FluctuatorConfig(strengths.copy(), gamma, f)
 
 
@@ -213,19 +222,24 @@ def cmd_dephasing(args) -> int:
         t_max_fs=_get(ens_sec, "t_max_fs", float, where="ensemble"),
         master_seed=seed,
     )
-    # surface the waiting-time/step mismatch before doing any work
+    # surface what would fail the ensemble or the fit before doing any work
+    noise_cfg.switch_interval_steps(ens.dt_fs)
     try:
-        noise_cfg.switch_interval_steps(ens.dt_fs)
-    except ConfigError:
-        waiting = noise_cfg.waiting_time_fs
-        suggestion = waiting / max(1, round(waiting / ens.dt_fs))
+        period = model.beating_period(h)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    horizon = ens.n_steps * ens.dt_fs
+    if horizon < 2.0 * period:
         raise ConfigError(
-            f"dt_fs={ens.dt_fs} does not divide the fluctuator waiting time "
-            f"{waiting} fs; nearest valid dt_fs is {suggestion}"
-        ) from None
+            f"t_max_fs={ens.t_max_fs} is shorter than the two beating periods "
+            f"({2.0 * period:.6g} fs) the dephasing-rate fit needs"
+        )
 
     result = noise.run_ensemble(h, noise_cfg, ens, workers=args.workers)
-    fit = reference.fit_dephasing_rate(result.t_fs, result.p_mean, h)
+    try:
+        fit = reference.fit_dephasing_rate(result.t_fs, result.p_mean, h)
+    except ValueError as exc:
+        raise NumericalValidationError(f"dephasing-rate fit: {exc}") from exc
     series = reference.lindblad_integrate(
         reference.LindbladModel(h, fit.gamma_deph_thz),
         reference.DensityMatrix.site_excitation(h.n_sites),
@@ -300,15 +314,8 @@ def cmd_resources(args) -> int:
         raise ConfigError(str(exc)) from exc
     payload = report.to_dict()
     if args.gamma_thz is not None:
-        waiting = 1e3 / args.gamma_thz
-        steps = round(waiting / args.dt_fs)
-        if steps < 1 or abs(steps * args.dt_fs - waiting) > 1e-9 * waiting:
-            suggestion = waiting / max(1, steps)
-            raise ConfigError(
-                f"dt_fs={args.dt_fs} does not divide the fluctuator waiting time "
-                f"{waiting} fs; nearest valid dt_fs is {suggestion}"
-            )
-        payload["switch_interval_steps"] = int(steps)
+        fluctuators = noise.FluctuatorConfig.uniform(0.0, args.n_sites, args.gamma_thz)
+        payload["switch_interval_steps"] = fluctuators.switch_interval_steps(args.dt_fs)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", newline="\n")

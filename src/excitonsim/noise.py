@@ -21,9 +21,10 @@ from excitonsim.circuits import build_iteration_circuit
 from excitonsim.errors import ConfigError, NumericalValidationError
 from excitonsim.model import SystemHamiltonian
 from excitonsim.qcore import _execute_packed
-from excitonsim._kernels import site_probs as _site_probs
 
 _DIVISIBILITY_RTOL = 1e-9
+# probability an iteration circuit may move out of the ancilla-|1> half
+_LEAK_TOL = 1e-12
 
 
 def _exact_steps(span: float, step: float, what: str) -> int:
@@ -70,13 +71,18 @@ class FluctuatorConfig:
         return 1e3 / self.switching_rate_thz
 
     def switch_interval_steps(self, dt_fs: float) -> int:
-        """Iterations per fluctuator interval; the waiting time must divide dt."""
+        """Iterations per fluctuator interval; dt must divide the waiting time.
+
+        The error names the nearest step that does.
+        """
         if dt_fs <= 0:
             raise ConfigError("dt_fs must be positive")
-        steps = _exact_steps(self.waiting_time_fs, dt_fs, "fluctuator waiting time")
-        if steps < 1:
+        waiting = self.waiting_time_fs
+        steps = int(round(waiting / dt_fs))
+        if steps < 1 or abs(steps * dt_fs - waiting) > _DIVISIBILITY_RTOL * max(waiting, dt_fs):
             raise ConfigError(
-                f"waiting time {self.waiting_time_fs} fs is shorter than dt {dt_fs} fs"
+                f"dt_fs={dt_fs} does not divide the fluctuator waiting time "
+                f"{waiting} fs; nearest valid dt_fs is {waiting / max(1, steps)}"
             )
         return steps
 
@@ -181,54 +187,99 @@ class EnsembleResult:
     master_seed: int
 
 
+def _step_unitaries(
+    h: SystemHamiltonian,
+    noise_cfg: FluctuatorConfig,
+    dt_fs: float,
+    patterns: np.ndarray,
+) -> np.ndarray:
+    """System unitary of each sign pattern's iteration circuit, (P, D, D).
+
+    Column m is the circuit run on |m>_sys (x) |1>_anc; the circuit must
+    leave the ancilla in |1>, so its |0> half is checked to stay empty.
+    """
+    n_sys = h.n_system_qubits
+    dim = 1 << n_sys
+    shape = (noise_cfg.n_sites, noise_cfg.fluctuators_per_site)
+    unitaries = np.empty((len(patterns), dim, dim), dtype=np.complex128)
+    for p, pattern in enumerate(patterns):
+        circuit = build_iteration_circuit(
+            h, dt_fs, pattern.reshape(shape), noise_cfg.strengths_cm1
+        )
+        segments = circuit.packed()
+        for m in range(dim):
+            amps = np.zeros(2 * dim, dtype=np.complex128)
+            amps[dim | m] = 1.0
+            amps = _execute_packed(amps, n_sys + 1, segments)
+            leak = float(np.vdot(amps[:dim], amps[:dim]).real)
+            if leak > _LEAK_TOL:
+                raise NumericalValidationError(
+                    f"sign pattern {pattern.tolist()}: basis state {m} leaked "
+                    f"{leak!r} into the ancilla-|0> half"
+                )
+            unitaries[p, :, m] = amps[dim:]
+    return unitaries
+
+
 def _run_frequencies(
     h: SystemHamiltonian,
     noise_cfg: FluctuatorConfig,
     ens: EnsembleConfig,
-    run_index: int,
+    run_indices: range,
 ) -> np.ndarray:
-    """Shot frequencies for one run, shape (n_steps + 1, n_sites)."""
-    if noise_cfg.n_sites != h.n_sites:
-        raise ConfigError("fluctuator configuration does not match the chain size")
+    """Shot frequencies for a block of runs, shape (runs, n_steps + 1, n_sites).
+
+    Each distinct fluctuator sign pattern in the block is compiled to its
+    step unitary once, and all runs advance together, one gathered product
+    per step. Run r draws its trajectory and its shots from the two children
+    of SeedSequence([master_seed, r]), so a run's frequencies do not depend
+    on which block it is in.
+    """
     n_steps = ens.n_steps
-    ss = np.random.SeedSequence([ens.master_seed, run_index])
-    traj_ss, shot_ss = ss.spawn(2)
-    trajectory = generate_trajectory(noise_cfg, n_steps, ens.dt_fs, traj_ss)
-    rng = np.random.default_rng(shot_ss)
+    n_runs = len(run_indices)
+    # signs hold still within a switch interval, so one row per interval
+    interval = noise_cfg.switch_interval_steps(ens.dt_fs)
+    n_intervals = -(-n_steps // interval)
+    n_signs = noise_cfg.n_sites * noise_cfg.fluctuators_per_site
+    sign_rows = np.empty((n_runs, n_intervals, n_signs))
+    shot_seeds = []
+    for k, r in enumerate(run_indices):
+        traj_ss, shot_ss = np.random.SeedSequence([ens.master_seed, r]).spawn(2)
+        shot_seeds.append(shot_ss)
+        signs = generate_trajectory(noise_cfg, n_steps, ens.dt_fs, traj_ss).signs
+        sign_rows[k] = signs[:, :, ::interval].reshape(n_signs, n_intervals).T
+    patterns, inverse = np.unique(
+        sign_rows.reshape(n_runs * n_intervals, n_signs), axis=0, return_inverse=True
+    )
+    del sign_rows
+    pattern_index = np.repeat(
+        inverse.astype(np.int32).reshape(n_runs, n_intervals), interval, axis=1
+    )[:, :n_steps]
+    unitaries = _step_unitaries(h, noise_cfg, ens.dt_fs, patterns)
 
-    n_sys = h.n_system_qubits
-    num_qubits = n_sys + 1
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[1 << n_sys] = 1.0  # |0..0>_sys (x) |1>_anc
-    probs = np.empty(h.n_sites, dtype=np.float64)
-    freq = np.empty((n_steps + 1, h.n_sites), dtype=np.float64)
-
-    packed_cache: dict = {}
-    signs = trajectory.signs
-
-    def record(i: int) -> None:
-        _site_probs(amps, num_qubits, n_sys, probs)
-        p = np.clip(probs, 0.0, None)
-        counts = rng.multinomial(ens.shots, p / p.sum())
-        freq[i] = counts / ens.shots
-
-    record(0)
+    states = np.zeros((n_runs, 1 << h.n_system_qubits), dtype=np.complex128)
+    states[:, 0] = 1.0
+    probs = np.empty((n_runs, n_steps + 1, h.n_sites), dtype=np.float64)
+    probs[:, 0] = states.real**2 + states.imag**2
     for i in range(n_steps):
-        key = signs[:, :, i].tobytes()
-        segments = packed_cache.get(key)
-        if segments is None:
-            circuit = build_iteration_circuit(
-                h, ens.dt_fs, signs[:, :, i], noise_cfg.strengths_cm1
-            )
-            segments = circuit.packed()
-            packed_cache[key] = segments
-        amps = _execute_packed(amps, num_qubits, segments)
-        record(i + 1)
+        states = np.einsum("rij,rj->ri", unitaries[pattern_index[:, i]], states)
+        probs[:, i + 1] = states.real**2 + states.imag**2
 
-    norm2 = float(np.vdot(amps, amps).real)
-    if abs(norm2 - 1.0) > 1e-9:
-        raise NumericalValidationError(f"run {run_index}: norm^2 drifted to {norm2!r}")
-    return freq
+    norm2 = probs[:, -1].sum(axis=1)
+    drifted = np.flatnonzero(np.abs(norm2 - 1.0) > 1e-9)
+    if drifted.size:
+        k = drifted[0]
+        raise NumericalValidationError(
+            f"run {run_indices[k]}: norm^2 drifted to {float(norm2[k])!r}"
+        )
+
+    # the probabilities are overwritten in place by each run's frequencies
+    np.clip(probs, 0.0, None, out=probs)
+    probs /= probs.sum(axis=2, keepdims=True)
+    for k, shot_ss in enumerate(shot_seeds):
+        counts = np.random.default_rng(shot_ss).multinomial(ens.shots, probs[k])
+        np.divide(counts, ens.shots, out=probs[k])
+    return probs
 
 
 def run_ensemble(
@@ -239,25 +290,29 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Average shot frequencies over ens.runs independent trajectories.
 
-    Per-run seeds are bound to the run index, and runs are reduced in index
-    order, so the result does not depend on ``workers``.
+    ``workers > 1`` splits the runs into contiguous blocks, one per process,
+    and joins the blocks in run order. Per-run seeds are bound to the run
+    index, so the result does not depend on ``workers``.
     """
-    indices = range(ens.runs)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if noise_cfg.n_sites != h.n_sites:
+        raise ConfigError("fluctuator configuration does not match the chain size")
+    n_blocks = max(1, min(workers, ens.runs))
+    bounds = [ens.runs * b // n_blocks for b in range(n_blocks + 1)]
+    blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if n_blocks > 1:
+        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
             freqs = list(
                 pool.map(
                     _run_frequencies,
-                    [h] * ens.runs,
-                    [noise_cfg] * ens.runs,
-                    [ens] * ens.runs,
-                    indices,
-                    chunksize=max(1, ens.runs // (4 * workers)),
+                    [h] * n_blocks,
+                    [noise_cfg] * n_blocks,
+                    [ens] * n_blocks,
+                    blocks,
                 )
             )
+        stacked = np.concatenate(freqs)
     else:
-        freqs = [_run_frequencies(h, noise_cfg, ens, r) for r in indices]
-    stacked = np.stack(freqs)
+        stacked = _run_frequencies(h, noise_cfg, ens, blocks[0])
     p_mean = stacked.mean(axis=0)
     if ens.runs > 1:
         p_stderr = stacked.std(axis=0, ddof=1) / np.sqrt(ens.runs)

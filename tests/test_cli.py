@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: CSV contracts, exit codes, reproducibility."""
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from excitonsim import cli
+from excitonsim import cli, reference
 
 K = 2.0 * math.pi * 2.99792458e-5
 
@@ -221,3 +222,57 @@ def test_numbers_are_serialized_with_nine_significant_digits(tmp_path, capsys):
     assert row[0] == "10"
     # deterministic %.9g round trip for every cell
     assert all(cell == format(float(cell), ".9g") for cell in row)
+
+
+def assert_one_line_error(capsys, prefix: str) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith(prefix), err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    return err
+
+
+def test_dephasing_rejects_wrong_length_strength_list(tmp_path, capsys):
+    cfg = dephasing_config(tmp_path, noise={"strength_cm1": [100.0, 200.0, 300.0]})
+    assert cli.main(["dephasing", "--config", cfg]) == 2
+    assert "strength_cm1" in assert_one_line_error(capsys, "config error:")
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("ensemble", "runs", 2.7),
+        ("ensemble", "shots", 10.9),
+        ("ensemble", "runs", "2"),
+        ("ensemble", "shots", True),
+        ("ensemble", "master_seed", 12.0),
+        ("noise", "fluctuators_per_site", 1.5),
+    ],
+)
+def test_dephasing_rejects_non_integer_counts(tmp_path, capsys, section, key, value):
+    cfg = dephasing_config(tmp_path, **{section: {key: value}})
+    assert cli.main(["dephasing", "--config", cfg]) == 2
+    err = assert_one_line_error(capsys, "config error:")
+    assert key in err and "integer" in err
+    assert not (tmp_path / "dephasing.csv").exists()
+
+
+def test_dephasing_rejects_horizon_shorter_than_two_beating_periods(tmp_path, capsys):
+    # two near-resonant beating periods are 246 fs
+    cfg = dephasing_config(tmp_path, ensemble={"t_max_fs": 240.0})
+    assert cli.main(["dephasing", "--config", cfg]) == 2
+    assert "beating periods" in assert_one_line_error(capsys, "config error:")
+    assert not (tmp_path / "dephasing.csv").exists()
+
+
+def test_dephasing_unbracketed_fit_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a g=300 ensemble dephases at ~6.5 THz, above this bracket's upper edge
+    narrow = functools.partial(reference.fit_dephasing_rate, bracket_thz=(0.1, 1.0))
+    monkeypatch.setattr(reference, "fit_dephasing_rate", narrow)
+    cfg = dephasing_config(tmp_path, ensemble={"runs": 4, "t_max_fs": 260.0})
+    assert cli.main(["dephasing", "--config", cfg]) == 3
+    assert "bracket" in assert_one_line_error(capsys, "numerical validation failure:")
+
+
+def test_resources_rejects_non_positive_switching_rate(capsys):
+    assert cli.main(["resources", "--n-sites", "2", "--gamma-thz", "0"]) == 2
+    assert "switching_rate_thz" in assert_one_line_error(capsys, "config error:")

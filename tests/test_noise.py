@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from excitonsim import model, noise
-from excitonsim.errors import ConfigError
+from excitonsim import model, noise, reference
+from excitonsim.errors import ConfigError, NumericalValidationError
+from excitonsim.qcore import Gate, QuantumCircuit
 from excitonsim.model import SystemHamiltonian
 from excitonsim.noise import EnsembleConfig, FluctuatorConfig
 
@@ -135,4 +136,47 @@ def test_ensemble_rejects_mismatched_sites():
     cfg = FluctuatorConfig.uniform(100.0, 4, 125.0)
     ens = EnsembleConfig(runs=1, shots=10, dt_fs=2.0, t_max_fs=10.0, master_seed=0)
     with pytest.raises(ConfigError):
+        noise.run_ensemble(NEAR, cfg, ens)
+
+
+def four_site_chain() -> SystemHamiltonian:
+    j = np.zeros((4, 4))
+    for k in range(3):
+        j[k, k + 1] = j[k + 1, k] = 126.0
+    return SystemHamiltonian(np.array([13000.0, 12900.0, 13000.0, 12900.0]), j)
+
+
+def test_four_site_two_fluctuator_ensemble_matches_exact_mean():
+    h = four_site_chain()
+    cfg = FluctuatorConfig.uniform(300.0, 4, 125.0, fluctuators_per_site=2)
+    ens = EnsembleConfig(runs=6, shots=200, dt_fs=2.0, t_max_fs=100.0, master_seed=21)
+    serial = noise.run_ensemble(h, cfg, ens, workers=1)
+    parallel = noise.run_ensemble(h, cfg, ens, workers=2)
+    assert np.array_equal(serial.p_mean, parallel.p_mean)
+    assert np.array_equal(serial.p_stderr, parallel.p_stderr)
+
+    # piecewise-exact populations of the same trajectories (first seed child)
+    exact = []
+    for r in range(ens.runs):
+        traj_ss, _ = np.random.SeedSequence([ens.master_seed, r]).spawn(2)
+        traj = noise.generate_trajectory(cfg, ens.n_steps, ens.dt_fs, traj_ss)
+        exact.append(reference.exact_trajectory_series(h, traj, ens.dt_fs))
+    exact = np.array(exact)
+    # shot noise of the run mean, plus a Trotter allowance at dt = 2 fs
+    sigma = np.sqrt((exact * (1.0 - exact)).sum(axis=0) / ens.shots) / ens.runs
+    assert (np.abs(serial.p_mean - exact.mean(axis=0)) <= 5.0 * sigma + 0.01).all()
+
+
+def test_ancilla_leak_in_iteration_circuit_is_rejected(monkeypatch):
+    build = noise.build_iteration_circuit
+
+    def leaky(h, dt_fs, signs, strengths_cm1):
+        circuit = build(h, dt_fs, signs, strengths_cm1)
+        ancilla = h.n_system_qubits
+        return QuantumCircuit(circuit.num_qubits, circuit.gates + (Gate.x(ancilla),))
+
+    monkeypatch.setattr(noise, "build_iteration_circuit", leaky)
+    cfg = FluctuatorConfig.uniform(300.0, 2, 125.0)
+    ens = EnsembleConfig(runs=2, shots=10, dt_fs=2.0, t_max_fs=8.0, master_seed=3)
+    with pytest.raises(NumericalValidationError, match="ancilla"):
         noise.run_ensemble(NEAR, cfg, ens)
