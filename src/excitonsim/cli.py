@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -57,6 +58,18 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"malformed JSON config: {exc}") from exc
 
 
+def _finite_number(value) -> float | None:
+    """A JSON/TOML number (an int or a float, never a bool or a string) as a
+    finite float, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
 def resolve_hamiltonian(section: dict) -> model.SystemHamiltonian:
     if not isinstance(section, dict):
         raise ConfigError("missing [hamiltonian] section")
@@ -71,11 +84,19 @@ def resolve_hamiltonian(section: dict) -> model.SystemHamiltonian:
             raise ConfigError(
                 f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
             ) from None
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.shape != (2, 2):
-        raise ConfigError("custom hamiltonian matrix must be 2x2 (cm^-1)")
+    rows = matrix if isinstance(matrix, list) else []
+    entries = [
+        _finite_number(x) for row in rows if isinstance(row, list) and len(row) == 2 for x in row
+    ]
+    if len(rows) != 2 or len(entries) != 4 or None in entries:
+        raise ConfigError(
+            f"custom hamiltonian matrix must be 2x2 finite numbers (cm^-1), got {matrix!r}"
+        )
+    eps0, coupling, coupling_t, eps1 = entries
+    if coupling != coupling_t:
+        raise ConfigError(f"custom hamiltonian matrix must be symmetric, got {matrix!r}")
     try:
-        return model.SystemHamiltonian.two_site(m[0, 0], m[1, 1], m[0, 1])
+        return model.SystemHamiltonian.two_site(eps0, eps1, coupling)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -92,17 +113,20 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 def _get(section: dict, key: str, kind, default=None, where: str = ""):
+    """Config value of ``kind`` int or float; ints are accepted as floats."""
     if key not in section:
         if default is not None:
             return default
         raise ConfigError(f"missing '{key}' in [{where}]")
     value = section[key]
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"bad '{key}' in [{where}]: expected an integer, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad '{key}' in [{where}]: {exc}") from exc
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"bad '{key}' in [{where}]: expected an integer, got {value!r}")
+        return value
+    number = _finite_number(value)
+    if number is None:
+        raise ConfigError(f"bad '{key}' in [{where}]: expected a finite number, got {value!r}")
+    return number
 
 
 def _output_path(cfg: dict, args, default_name: str) -> Path:
@@ -128,24 +152,41 @@ def write_csv(path: Path, columns: list[str], rows, config_echo: dict) -> None:
 
 
 def read_csv(path: str):
-    """Read back an emitted CSV: (embedded config or None, columns, data)."""
+    """Read back an emitted CSV: (embedded config or None, columns, data).
+
+    A file that cannot be read or parsed is a ConfigError naming the line."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     config = None
     columns = None
     data: list[list[float]] = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if line.startswith("#"):
             _, _, payload = line.partition("=")
             if config is None and payload.strip():
-                config = json.loads(payload)
+                try:
+                    config = json.loads(payload)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"{path}:{lineno}: malformed embedded config: {exc}") from exc
             continue
         if columns is None:
             columns = line.split(",")
             continue
         if line:
-            data.append([float(x) for x in line.split(",")])
+            cells = line.split(",")
+            if len(cells) != len(columns):
+                raise ConfigError(
+                    f"{path}:{lineno}: {len(cells)} cells under {len(columns)} columns"
+                )
+            try:
+                data.append([float(x) for x in cells])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     if columns is None:
         raise ConfigError(f"no header row in {path}")
-    return config, columns, np.asarray(data, dtype=np.float64)
+    return config, columns, np.asarray(data, dtype=np.float64).reshape(-1, len(columns))
 
 
 def _shot_seed(master_seed: int, index: int) -> int:
@@ -164,7 +205,7 @@ def cmd_coherent(args) -> int:
         raise ConfigError("need step_fs > 0 and t_max_fs >= 0")
     if shots < 0:
         raise ConfigError("shots must be >= 0")
-    n = int(round(t_max / step)) if t_max else 0
+    n = noise.exact_steps(t_max, step, "t_max_fs")
     t_grid = np.arange(n + 1) * step
 
     p0_a, p1_a = model.analytic_populations(h, t_grid)
@@ -199,14 +240,14 @@ def _resolve_noise(cfg_noise: dict, h: model.SystemHamiltonian) -> noise.Fluctua
         raise ConfigError("missing 'strength_cm1' in [noise]")
     gamma = _get(cfg_noise, "switching_rate_thz", float, where="noise")
     f = _get(cfg_noise, "fluctuators_per_site", int, default=1, where="noise")
-    try:
-        strengths = np.broadcast_to(np.asarray(strength, dtype=np.float64), (h.n_sites,))
-    except (TypeError, ValueError):
+    values = strength if isinstance(strength, list) else [strength]
+    strengths = [_finite_number(v) for v in values]
+    if None in strengths or len(strengths) not in (1, h.n_sites):
         raise ConfigError(
             f"'strength_cm1' in [noise] must be a number or a list of {h.n_sites} "
             f"numbers, got {strength!r}"
-        ) from None
-    return noise.FluctuatorConfig(strengths.copy(), gamma, f)
+        )
+    return noise.FluctuatorConfig(np.broadcast_to(strengths, h.n_sites).copy(), gamma, f)
 
 
 def cmd_dephasing(args) -> int:
@@ -236,10 +277,7 @@ def cmd_dephasing(args) -> int:
         )
 
     result = noise.run_ensemble(h, noise_cfg, ens, workers=args.workers)
-    try:
-        fit = reference.fit_dephasing_rate(result.t_fs, result.p_mean, h)
-    except ValueError as exc:
-        raise NumericalValidationError(f"dephasing-rate fit: {exc}") from exc
+    fit = _fit_rate(result.t_fs, result.p_mean, h)
     series = reference.lindblad_integrate(
         reference.LindbladModel(h, fit.gamma_deph_thz),
         reference.DensityMatrix.site_excitation(h.n_sites),
@@ -305,6 +343,17 @@ def cmd_dephasing(args) -> int:
     return 0
 
 
+def _fit_rate(t_fs, populations, h) -> reference.FitResult:
+    """A series the fit cannot take stays a ConfigError (exit 2); a fit that
+    finds no minimum inside its bracket is a numerical failure (exit 3)."""
+    try:
+        return reference.fit_dephasing_rate(t_fs, populations, h)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise NumericalValidationError(f"dephasing-rate fit: {exc}") from exc
+
+
 def cmd_resources(args) -> int:
     try:
         report = model.estimate_resources(
@@ -330,16 +379,13 @@ def cmd_fit(args) -> int:
         raise ConfigError(f"{args.csv} lacks the ensemble columns {needed}")
     if args.preset:
         h = PRESETS[args.preset]()
-    elif config and "hamiltonian" in config:
+    elif isinstance(config, dict) and "hamiltonian" in config:
         h = resolve_hamiltonian(config["hamiltonian"])
     else:
         raise ConfigError("no embedded hamiltonian; pass --preset")
     t = data[:, columns.index("t_fs")]
     pops = data[:, [columns.index("p0_mean"), columns.index("p1_mean")]]
-    try:
-        fit = reference.fit_dephasing_rate(t, pops, h)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    fit = _fit_rate(t, pops, h)
     text = json.dumps(
         {"gamma_deph_thz": fit.gamma_deph_thz, "residual_rms": fit.residual_rms},
         indent=2,

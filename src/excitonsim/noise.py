@@ -27,7 +27,7 @@ _DIVISIBILITY_RTOL = 1e-9
 _LEAK_TOL = 1e-12
 
 
-def _exact_steps(span: float, step: float, what: str) -> int:
+def exact_steps(span: float, step: float, what: str) -> int:
     n = int(round(span / step))
     if n < 0 or abs(n * step - span) > _DIVISIBILITY_RTOL * max(abs(span), step):
         raise ConfigError(f"{what}: {span} is not an integer multiple of {step}")
@@ -169,7 +169,7 @@ class EnsembleConfig:
 
     @property
     def n_steps(self) -> int:
-        return _exact_steps(self.t_max_fs, self.dt_fs, "t_max_fs")
+        return exact_steps(self.t_max_fs, self.dt_fs, "t_max_fs")
 
     def time_grid_fs(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt_fs

@@ -7,7 +7,11 @@ Three independent routes:
   propagator is a product of dense matrix exponentials (no Trotter error).
 * lindblad_integrate: pure-dephasing master equation with one projector
   jump operator per site and a single rate gamma_deph, integrated by
-  classical fixed-step RK4 on the vectorized generator.
+  classical fixed-step RK4 on the vectorized generator. Because the
+  generator is constant, the RK4 steps between two grid points fold into one
+  propagator matrix (the step's degree-4 Taylor polynomial, raised to the
+  number of sub-steps), built once per distinct grid spacing and cached for
+  the call; each output point then costs a single matrix-vector product.
 * fit_dephasing_rate: least-squares match of the Lindblad populations to an
   ensemble time series, golden-section search over log(gamma_deph).
 """
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from excitonsim.errors import NumericalValidationError
+from excitonsim.errors import ConfigError, NumericalValidationError
 from excitonsim.model import UNITS, SystemHamiltonian, UnitsContext, beating_period
 from excitonsim.noise import FluctuatorTrajectory
 
@@ -98,16 +102,19 @@ class LindbladModel:
         return gen
 
 
-def _rk4_span(gen: np.ndarray, v: np.ndarray, span_fs: float, max_step_fs: float) -> np.ndarray:
+def _rk4_propagator(gen: np.ndarray, span_fs: float, max_step_fs: float) -> np.ndarray:
+    """Matrix that advances vec(rho) by span_fs: n_sub classical RK4 steps.
+
+    On a constant generator one RK4 step of size h is exactly the degree-4
+    Taylor polynomial of A = h*gen, so the span is that polynomial to the
+    n_sub-th power (an exponential of gen would be more accurate but would
+    not be this integrator, and would move the reported populations).
+    """
     n_sub = max(1, math.ceil(span_fs / max_step_fs - 1e-12))
-    step = span_fs / n_sub
-    for _ in range(n_sub):
-        k1 = gen @ v
-        k2 = gen @ (v + 0.5 * step * k1)
-        k3 = gen @ (v + 0.5 * step * k2)
-        k4 = gen @ (v + step * k3)
-        v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return v
+    a = (span_fs / n_sub) * gen
+    a2 = a @ a
+    step = np.eye(gen.shape[0]) + a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
+    return np.linalg.matrix_power(step, n_sub)
 
 
 def _integrate_populations(
@@ -117,21 +124,29 @@ def _integrate_populations(
     max_step_fs: float,
     units: UnitsContext,
 ):
-    """Shared stepping core; returns vec(rho) at every grid point."""
+    """Shared stepping core; returns vec(rho) at every grid point.
+
+    One RK4 propagator is built per distinct grid spacing, so a uniform grid
+    costs one propagator and then one matvec per output point."""
     t = np.asarray(t_grid_fs, dtype=np.float64)
     if t.ndim != 1 or t.size == 0:
-        raise ValueError("time grid must be a non-empty 1-d array")
+        raise ConfigError("time grid must be a non-empty 1-d array")
     if (np.diff(t) <= 0).any() or t[0] < 0:
-        raise ValueError("time grid must be strictly increasing and non-negative")
+        raise ConfigError("time grid must be strictly increasing and non-negative")
     if max_step_fs <= 0:
-        raise ValueError("max_step_fs must be positive")
+        raise ConfigError("max_step_fs must be positive")
     gen = model.liouvillian(units)
     v = rho0.reshape(-1).astype(np.complex128)
     out = np.empty((t.size, v.size), dtype=np.complex128)
+    propagators: dict[float, np.ndarray] = {}
     prev = 0.0
     for i, ti in enumerate(t):
         if ti > prev:
-            v = _rk4_span(gen, v, ti - prev, max_step_fs)
+            span = ti - prev
+            prop = propagators.get(span)
+            if prop is None:
+                prop = propagators[span] = _rk4_propagator(gen, span, max_step_fs)
+            v = prop @ v
             prev = ti
         out[i] = v
     n = model.h.n_sites
@@ -249,17 +264,24 @@ def fit_dephasing_rate(
 
     Scans a log-spaced grid over ``bracket_thz`` to bracket the minimum of
     the summed squared deviation, then refines by golden-section search in
-    log space. A minimum pushed against the upper bracket edge is an error;
-    the lower edge is a legitimate answer for effectively coherent series.
+    log space. A minimum pushed against the upper bracket edge is a
+    ValueError; the lower edge is a legitimate answer for effectively
+    coherent series. A chain without a beating period, or a series of the
+    wrong shape, with non-finite values, shorter than two beating periods or
+    on a grid that is not strictly increasing from t >= 0, is a ConfigError.
     """
     t = np.asarray(t_fs, dtype=np.float64)
     p = np.asarray(populations, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != t.size or p.shape[1] != h.n_sites:
-        raise ValueError("populations must have shape (len(t_fs), n_sites)")
+        raise ConfigError("populations must have shape (len(t_fs), n_sites)")
     if not (np.isfinite(t).all() and np.isfinite(p).all()):
-        raise ValueError("non-finite values in the ensemble series")
-    if t[-1] - t[0] < 2.0 * beating_period(h):
-        raise ValueError("series must cover at least two beating periods")
+        raise ConfigError("non-finite values in the ensemble series")
+    try:
+        period = beating_period(h)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if t.size < 2 or t[-1] - t[0] < 2.0 * period:
+        raise ConfigError("series must cover at least two beating periods")
 
     evaluations = 0
 

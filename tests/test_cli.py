@@ -276,3 +276,121 @@ def test_dephasing_unbracketed_fit_is_numerical_failure(tmp_path, capsys, monkey
 def test_resources_rejects_non_positive_switching_rate(capsys):
     assert cli.main(["resources", "--n-sites", "2", "--gamma-thz", "0"]) == 2
     assert "switching_rate_thz" in assert_one_line_error(capsys, "config error:")
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("dephasing", "ensemble", "dt_fs", True),
+        ("dephasing", "ensemble", "t_max_fs", "256"),
+        ("dephasing", "ensemble", "t_max_fs", float("nan")),
+        pytest.param("dephasing", "ensemble", "dt_fs", 10**400, id="dephasing-ensemble-dt_fs-1e400"),
+        ("dephasing", "noise", "switching_rate_thz", "125"),
+        ("dephasing", "noise", "strength_cm1", True),
+        ("dephasing", "noise", "strength_cm1", ["300", 300.0]),
+        ("coherent", "ensemble", "step_fs", True),
+        ("coherent", "ensemble", "t_max_fs", "10"),
+        ("coherent", "ensemble", "t_max_fs", float("inf")),
+    ],
+)
+def test_float_fields_reject_bools_strings_and_non_finite(tmp_path, capsys, command, section, key, value):
+    if command == "dephasing":
+        cfg = dephasing_config(tmp_path, **{section: {key: value}})
+    else:
+        cfg = coherent_config(tmp_path, **{key: value})
+    assert cli.main([command, "--config", cfg]) == 2
+    assert key in assert_one_line_error(capsys, "config error:")
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
+def test_coherent_rejects_step_that_does_not_divide_horizon(tmp_path, capsys):
+    cfg = coherent_config(tmp_path, t_max_fs=10, step_fs=3)
+    assert cli.main(["coherent", "--config", cfg]) == 2
+    assert "t_max_fs" in assert_one_line_error(capsys, "config error:")
+    assert not (tmp_path / "coherent.csv").exists()
+    # integers are accepted for float fields
+    cfg = coherent_config(tmp_path, t_max_fs=10, step_fs=5)
+    assert cli.main(["coherent", "--config", cfg]) == 0
+    capsys.readouterr()
+    _, _, data = cli.read_csv(tmp_path / "coherent.csv")
+    assert data[:, 0].tolist() == [0.0, 5.0, 10.0]
+
+
+def fit_csv(tmp_path: Path, rows) -> str:
+    lines = ['# config = {"hamiltonian": {"preset": "near_resonant"}}', "t_fs,p0_mean,p1_mean"]
+    lines += [",".join(str(cell) for cell in row) for row in rows]
+    path = tmp_path / "series.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+# a frozen near-resonant series over 600 fs: a valid input the fit cannot bracket
+FROZEN_ROWS = [[2.0 * i, 1.0, 0.0] for i in range(301)]
+
+
+def test_fit_unbracketed_minimum_is_numerical_failure(tmp_path, capsys):
+    assert cli.main(["fit", fit_csv(tmp_path, FROZEN_ROWS)]) == 3
+    assert "bracket" in assert_one_line_error(capsys, "numerical validation failure:")
+
+
+@pytest.mark.parametrize(
+    "case", ["missing", "directory", "non-numeric", "ragged", "non-finite", "short", "unordered"]
+)
+def test_fit_rejects_bad_input_with_one_line(tmp_path, capsys, case):
+    rows = [list(row) for row in FROZEN_ROWS]
+    if case == "non-numeric":
+        rows[5][1] = "abc"
+    elif case == "ragged":
+        rows[5] = rows[5][:2]
+    elif case == "non-finite":
+        rows[5][1] = "nan"
+    elif case == "short":
+        rows = rows[:50]  # 98 fs, under two beating periods
+    elif case == "unordered":
+        rows[5][0] = rows[4][0]
+    path = fit_csv(tmp_path, rows)
+    if case == "missing":
+        path = str(tmp_path / "absent.csv")
+    elif case == "directory":
+        path = str(tmp_path)
+    assert cli.main(["fit", path]) == 2
+    assert_one_line_error(capsys, "config error:")
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[13000.0, 126.0], [126.0]],
+        [[13000.0, "126"], ["126", 12900.0]],
+        [[13000.0, True], [True, 12900.0]],
+        [[13000.0, 126.0], [0.0, 12900.0]],
+        [[13000.0, 126.0, 0.0], [126.0, 12900.0, 0.0], [0.0, 0.0, 12800.0]],
+        "near_resonant",
+    ],
+)
+def test_custom_hamiltonian_must_be_symmetric_2x2_numbers(tmp_path, capsys, matrix):
+    cfg = write_config(
+        tmp_path,
+        {"hamiltonian": {"matrix": matrix}, "ensemble": {"t_max_fs": 10.0, "step_fs": 5.0}},
+    )
+    assert cli.main(["coherent", "--config", cfg]) == 2
+    assert "matrix" in assert_one_line_error(capsys, "config error:")
+
+
+def test_custom_hamiltonian_matches_its_preset(tmp_path, capsys):
+    rows = {}
+    hamiltonians = {"preset": {"preset": "near_resonant"}, "matrix": {"matrix": [[13000, 126], [126, 12900]]}}
+    for name, ham in hamiltonians.items():
+        cfg = write_config(
+            tmp_path,
+            {
+                "hamiltonian": ham,
+                "ensemble": {"t_max_fs": 300.0, "step_fs": 5.0},
+                "output": {"directory": str(tmp_path), "basename": f"{name}.csv"},
+            },
+            name=f"{name}.json",
+        )
+        assert cli.main(["coherent", "--config", cfg]) == 0
+        rows[name] = (tmp_path / f"{name}.csv").read_text().splitlines()[2:]
+    capsys.readouterr()
+    assert rows["matrix"] == rows["preset"]

@@ -128,6 +128,68 @@ def test_rk4_step_too_large_reported():
         reference.lindblad_populations(LindbladModel(NEAR, 400.0), t, max_step_fs=20.0)
 
 
+# Several distinct spacings, a first point above 0, and spans that are not
+# multiples of the default 0.5 fs step, so every span gets its own propagator.
+UNEVEN_GRID = np.array([0.7, 3.0, 4.1, 10.0, 10.3, 17.55, 40.0, 41.25, 100.0, 160.9, 300.0])
+ORACLE_RATES_THZ = (0.0, 10.0, 70.0, 300.0)
+
+
+def exact_lindblad_populations(h_cm1: np.ndarray, rate_thz: float, t_fs: np.ndarray) -> np.ndarray:
+    """Site populations from |0><0| by exact exponentiation of the generator.
+
+    Built here, not from the package: the commutator with H plus decay of every
+    off-diagonal element of rho at the dephasing rate, on row-major vec(rho),
+    exponentiated through the generator's eigendecomposition.
+    """
+    n = h_cm1.shape[0]
+    h = h_cm1 * K
+    eye = np.eye(n)
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    gen -= np.diag(rate_thz * 1e-3 * (1.0 - eye.reshape(-1)))
+    w, v = np.linalg.eig(gen)
+    rho0 = np.zeros(n * n, dtype=complex)
+    rho0[0] = 1.0
+    vecs = (v * np.linalg.solve(v, rho0)) @ np.exp(np.outer(w, t_fs))
+    return vecs[:: n + 1].real.T
+
+
+def literal_rk4_populations(gen: np.ndarray, t_fs: np.ndarray, max_step_fs: float) -> np.ndarray:
+    """Two-site populations from |0><0| at t = 0, by classical RK4 stepped
+    one sub-step at a time with the package's sub-step rule."""
+    v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    out = []
+    prev = 0.0
+    for ti in t_fs:
+        n_sub = max(1, math.ceil((ti - prev) / max_step_fs - 1e-12))
+        step = (ti - prev) / n_sub
+        for _ in range(n_sub):
+            k1 = gen @ v
+            k2 = gen @ (v + 0.5 * step * k1)
+            k3 = gen @ (v + 0.5 * step * k2)
+            k4 = gen @ (v + step * k3)
+            v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        prev = ti
+        out.append(v[[0, 3]].real)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("rate", ORACLE_RATES_THZ)
+def test_lindblad_populations_match_exact_exponential(rate):
+    pops = reference.lindblad_populations(LindbladModel(NEAR, rate), UNEVEN_GRID)
+    exact = exact_lindblad_populations(NEAR.matrix(), rate, UNEVEN_GRID)
+    assert np.abs(pops - exact).max() < 1e-7
+
+
+@pytest.mark.parametrize("rate", ORACLE_RATES_THZ)
+def test_lindblad_propagator_is_the_rk4_step_loop(rate):
+    model_ = LindbladModel(NEAR, rate)
+    expected = literal_rk4_populations(model_.liouvillian(), UNEVEN_GRID, 0.5)
+    pops = reference.lindblad_populations(model_, UNEVEN_GRID, max_step_fs=0.5)
+    assert np.abs(pops - expected).max() < 1e-12
+    series = reference.lindblad_integrate(model_, DensityMatrix.site_excitation(2), UNEVEN_GRID)
+    assert np.abs(np.stack([rho.populations for rho in series]) - expected).max() < 1e-12
+
+
 def test_fit_round_trip_recovers_known_rate():
     t = np.arange(0.0, 601.0, 2.0)
     synthetic = reference.lindblad_populations(LindbladModel(NEAR, 10.0), t)
