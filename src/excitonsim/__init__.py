@@ -8,7 +8,6 @@ Haken-Stroebl-type Lindblad solver with a dephasing-rate fit) validate
 every path.
 """
 
-from excitonsim._kernels import BACKEND
 from excitonsim.circuits import build_coherent_circuit, build_iteration_circuit, gate_count
 from excitonsim.model import (
     PHASE_PER_CM1_FS,
@@ -38,6 +37,9 @@ from excitonsim.reference import (
 )
 
 __version__ = "0.1.0"
+
+# the one execution path: numpy statevector kernels in qcore
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from excitonsim.model import UNITS, SystemHamiltonian, UnitsContext, eigendecompose, mixing_angle
+from excitonsim.model import UNITS, SystemHamiltonian, UnitsContext, mixing_angle
 from excitonsim.qcore import Gate, GateKind, QuantumCircuit
 
 SIGN_VALUES = (0.5, -0.5)
@@ -35,7 +35,7 @@ def _selective_phase_gates(values_cm1, scale, system_qubits, ancilla):
 
 
 def _coherent_gates(h: SystemHamiltonian, t_fs: float, units: UnitsContext):
-    decomp = eigendecompose(h)
+    decomp = h.eigensystem
     energies = decomp.energies_cm1 - decomp.energies_cm1.mean()
     n_sys = h.n_system_qubits
     system = tuple(range(n_sys))

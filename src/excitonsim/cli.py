@@ -42,7 +42,10 @@ def load_config(path: str) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
-    text = p.read_text()
+    try:
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if p.suffix == ".toml":
         try:
             import tomllib
@@ -53,9 +56,12 @@ def load_config(path: str) -> dict:
         except tomllib.TOMLDecodeError as exc:
             raise ConfigError(f"malformed TOML config: {exc}") from exc
     try:
-        return json.loads(text)
+        cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON config: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be an object of sections, got {type(cfg).__name__}")
+    return cfg
 
 
 def _finite_number(value) -> float | None:
@@ -78,12 +84,9 @@ def resolve_hamiltonian(section: dict) -> model.SystemHamiltonian:
     if (preset is None) == (matrix is None):
         raise ConfigError("hamiltonian needs exactly one of 'preset' or 'matrix'")
     if preset is not None:
-        try:
-            return PRESETS[preset]()
-        except KeyError:
-            raise ConfigError(
-                f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
-            ) from None
+        if not isinstance(preset, str) or preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+        return PRESETS[preset]()
     rows = matrix if isinstance(matrix, list) else []
     entries = [
         _finite_number(x) for row in rows if isinstance(row, list) and len(row) == 2 for x in row
@@ -131,13 +134,16 @@ def _get(section: dict, key: str, kind, default=None, where: str = ""):
 
 def _output_path(cfg: dict, args, default_name: str) -> Path:
     out = cfg.get("output", {}) if isinstance(cfg.get("output", {}), dict) else {}
+    for key in ("directory", "basename"):
+        if out.get(key) is not None and not isinstance(out[key], str):
+            raise ConfigError(f"bad '{key}' in [output]: expected a string, got {out[key]!r}")
     directory = (
         args.output_dir
         or out.get("directory")
         or os.environ.get(ENV_OUTPUT_DIR)
         or "."
     )
-    base = out.get("basename", default_name)
+    base = out.get("basename") or default_name
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
     return path / base
@@ -275,6 +281,7 @@ def cmd_dephasing(args) -> int:
             f"t_max_fs={ens.t_max_fs} is shorter than the two beating periods "
             f"({2.0 * period:.6g} fs) the dephasing-rate fit needs"
         )
+    path = _output_path(cfg, args, "dephasing.csv")
 
     result = noise.run_ensemble(h, noise_cfg, ens, workers=args.workers)
     fit = _fit_rate(result.t_fs, result.p_mean, h)
@@ -321,7 +328,6 @@ def cmd_dephasing(args) -> int:
         "p0_lindblad_fit",
         "p1_lindblad_fit",
     ]
-    path = _output_path(cfg, args, "dephasing.csv")
     write_csv(path, columns, rows, echo)
     sidecar = path.with_suffix(".fit.json")
     sidecar.write_text(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,11 @@ class SystemHamiltonian:
 
     def matrix(self) -> np.ndarray:
         return np.diag(self.site_energies_cm1) + self.couplings_cm1
+
+    @cached_property
+    def eigensystem(self) -> "EigenDecomposition":
+        """``eigendecompose(self)``, computed once: the Hamiltonian is immutable."""
+        return eigendecompose(self)
 
     @classmethod
     def two_site(cls, eps0: float, eps1: float, coupling: float) -> "SystemHamiltonian":

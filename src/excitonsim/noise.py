@@ -187,6 +187,15 @@ class EnsembleResult:
     master_seed: int
 
 
+def _same_structure(a: tuple, b: tuple) -> bool:
+    """Whether two packed segments differ at most in their angles."""
+    if a[0] != b[0]:
+        return False
+    if a[0] == "ops":
+        return all(np.array_equal(x, y) for x, y in zip(a[1:4], b[1:4]))
+    return a[2] == b[2] and np.array_equal(a[1], b[1])
+
+
 def _step_unitaries(
     h: SystemHamiltonian,
     noise_cfg: FluctuatorConfig,
@@ -195,30 +204,48 @@ def _step_unitaries(
 ) -> np.ndarray:
     """System unitary of each sign pattern's iteration circuit, (P, D, D).
 
-    Column m is the circuit run on |m>_sys (x) |1>_anc; the circuit must
+    The patterns' circuits share one gate structure and differ only in their
+    angles, so they run together in one execution on a (2D, P, D) block:
+    column m of pattern p starts as |m>_sys (x) |1>_anc. The circuit must
     leave the ancilla in |1>, so its |0> half is checked to stay empty.
     """
     n_sys = h.n_system_qubits
     dim = 1 << n_sys
+    n_patterns = len(patterns)
+    if n_patterns == 0:
+        return np.empty((0, dim, dim), dtype=np.complex128)
     shape = (noise_cfg.n_sites, noise_cfg.fluctuators_per_site)
-    unitaries = np.empty((len(patterns), dim, dim), dtype=np.complex128)
+    # the first pattern's stream, with room for every pattern's angles
+    batched = None
     for p, pattern in enumerate(patterns):
-        circuit = build_iteration_circuit(
+        segments = build_iteration_circuit(
             h, dt_fs, pattern.reshape(shape), noise_cfg.strengths_cm1
+        ).packed()
+        if batched is None:
+            batched = [
+                seg[:4] + (np.empty((seg[4].size, n_patterns)),) if seg[0] == "ops" else seg
+                for seg in segments
+            ]
+        elif len(segments) != len(batched) or not all(map(_same_structure, segments, batched)):
+            raise NumericalValidationError(
+                f"sign pattern {pattern.tolist()}: iteration circuit differs "
+                f"from that of {patterns[0].tolist()} in more than its angles"
+            )
+        for seg, into in zip(segments, batched):
+            if seg[0] == "ops":
+                into[4][:, p] = seg[4]
+    amps = np.zeros((2 * dim, n_patterns, dim), dtype=np.complex128)
+    amps[dim:] = np.eye(dim)[:, None, :]
+    amps = _execute_packed(amps, n_sys + 1, batched)
+    leak = (amps[:dim].real ** 2 + amps[:dim].imag ** 2).sum(axis=0)
+    leaked = np.argwhere(leak > _LEAK_TOL)
+    if leaked.size:
+        p, m = leaked[0]
+        raise NumericalValidationError(
+            f"sign pattern {patterns[p].tolist()}: basis state {m} leaked "
+            f"{float(leak[p, m])!r} into the ancilla-|0> half"
         )
-        segments = circuit.packed()
-        for m in range(dim):
-            amps = np.zeros(2 * dim, dtype=np.complex128)
-            amps[dim | m] = 1.0
-            amps = _execute_packed(amps, n_sys + 1, segments)
-            leak = float(np.vdot(amps[:dim], amps[:dim]).real)
-            if leak > _LEAK_TOL:
-                raise NumericalValidationError(
-                    f"sign pattern {pattern.tolist()}: basis state {m} leaked "
-                    f"{leak!r} into the ancilla-|0> half"
-                )
-            unitaries[p, :, m] = amps[dim:]
-    return unitaries
+    return np.ascontiguousarray(amps[dim:].transpose(1, 0, 2))
 
 
 def _run_frequencies(
@@ -252,9 +279,7 @@ def _run_frequencies(
         sign_rows.reshape(n_runs * n_intervals, n_signs), axis=0, return_inverse=True
     )
     del sign_rows
-    pattern_index = np.repeat(
-        inverse.astype(np.int32).reshape(n_runs, n_intervals), interval, axis=1
-    )[:, :n_steps]
+    pattern_index = inverse.astype(np.int32).reshape(n_runs, n_intervals)
     unitaries = _step_unitaries(h, noise_cfg, ens.dt_fs, patterns)
 
     states = np.zeros((n_runs, 1 << h.n_system_qubits), dtype=np.complex128)
@@ -262,7 +287,7 @@ def _run_frequencies(
     probs = np.empty((n_runs, n_steps + 1, h.n_sites), dtype=np.float64)
     probs[:, 0] = states.real**2 + states.imag**2
     for i in range(n_steps):
-        states = np.einsum("rij,rj->ri", unitaries[pattern_index[:, i]], states)
+        states = np.einsum("rij,rj->ri", unitaries[pattern_index[:, i // interval]], states)
         probs[:, i + 1] = states.real**2 + states.imag**2
 
     norm2 = probs[:, -1].sum(axis=1)

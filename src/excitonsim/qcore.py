@@ -24,15 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from excitonsim._kernels import apply_ops as _apply_ops
-from excitonsim._kernels import site_probs as _site_probs
 from excitonsim.errors import NumericalValidationError
 
 NORM_TOL = 1e-9
 GATE_NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
 
-# packed op codes shared with the kernels
+# packed op codes
 _OP_FLIP = 0
 _OP_ROTY = 1
 _OP_PHASE = 2
@@ -144,9 +142,9 @@ def _control_mask(gate: Gate) -> int:
 
 
 def _pack(gates) -> list:
-    """Group consecutive kernel-supported gates into packed array segments.
+    """Group consecutive single-target gates into packed array segments.
 
-    DenseUnitary gates break the stream; they are applied through numpy.
+    Each DenseUnitary gate breaks the stream and is a segment of its own.
     """
     segments: list = []
     kinds: list[int] = []
@@ -189,13 +187,57 @@ def _pack(gates) -> list:
     return segments
 
 
+def _apply_ops(amps, num_qubits, kinds, targets, cmasks, angles) -> None:
+    """Apply a packed gate stream to ``amps`` in place.
+
+    ``amps`` is shaped (2^num_qubits, *batch); every gate acts on the first
+    axis. ``angles`` is (n_ops,), or (n_ops, P) with one angle per index of
+    the first batch axis.
+    """
+    idx = np.arange(amps.shape[0], dtype=np.int64)
+    # an angle row broadcasts over the first batch axis
+    angle_shape = (-1,) + (1,) * (amps.ndim - 2) if angles.ndim == 2 else ()
+    state_shape = (-1,) + (1,) * (amps.ndim - 1)
+    for kind, target, cmask, angle in zip(kinds.tolist(), targets.tolist(), cmasks.tolist(), angles):
+        tbit = 1 << target
+        controlled = (idx & cmask) == cmask
+        if kind == _OP_PHASE:
+            # exp(-i half) where the target is 0, exp(+i half) where it is 1,
+            # in real arithmetic: numpy rounds a complex product differently
+            # for a scalar and an array factor, which would make a column's
+            # result depend on the batch it runs in
+            sel = idx[controlled]
+            half = 0.5 * np.reshape(angle, angle_shape)
+            c = np.cos(half)
+            s = np.where(sel & tbit, 1.0, -1.0).reshape(state_shape) * np.sin(half)
+            z = amps[sel]
+            out = np.empty_like(z)
+            out.real = c * z.real - s * z.imag
+            out.imag = s * z.real + c * z.imag
+            amps[sel] = out
+            continue
+        i0 = idx[controlled & ((idx & tbit) == 0)]
+        i1 = i0 | tbit
+        a0 = amps[i0]
+        if kind == _OP_FLIP:
+            amps[i0] = amps[i1]
+            amps[i1] = a0
+        else:
+            half = 0.5 * np.reshape(angle, angle_shape)
+            c, s = np.cos(half), np.sin(half)
+            a1 = amps[i1]
+            amps[i0] = c * a0 - s * a1
+            amps[i1] = s * a0 + c * a1
+
+
 def _apply_dense(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     """Apply a 2^k x 2^k unitary to the subspace spanned by ``targets``.
 
     targets[0] is the least significant bit of the gate's own index space.
+    Contracts over the state axis only, so ``amps`` may carry batch axes.
     """
     k = len(targets)
-    dim = amps.size
+    dim = amps.shape[0]
     idx = np.arange(dim)
     sub = np.zeros(dim, dtype=np.int64)
     for pos, q in enumerate(targets):
@@ -205,15 +247,26 @@ def _apply_dense(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...])
         tmask |= 1 << q
     rest = idx & ~tmask
     order = np.lexsort((sub, rest))
-    gathered = amps[order].reshape(-1, 1 << k)
-    mixed = gathered @ matrix.T
+    gathered = amps[order].reshape(dim >> k, 1 << k, -1)
+    mixed = np.zeros_like(gathered)
+    # summed term by term, so a column's result does not depend on the batch
+    for i in range(1 << k):
+        for j in range(1 << k):
+            mixed[:, i] += matrix[i, j] * gathered[:, j]
     out = np.empty_like(amps)
-    out[order] = mixed.reshape(-1)
+    out[order] = mixed.reshape(amps.shape)
     return out
 
 
+def _site_probs(amps: np.ndarray, n_system_qubits: int) -> np.ndarray:
+    """Marginal probabilities of the low ``n_system_qubits`` qubits."""
+    p = amps.real**2 + amps.imag**2
+    return p.reshape(-1, 1 << n_system_qubits).sum(axis=0)
+
+
 def _execute_packed(amps: np.ndarray, num_qubits: int, segments: list) -> np.ndarray:
-    """Run packed segments on ``amps`` in place; returns the (possibly new) buffer."""
+    """Run packed segments on ``amps``, shaped (2^num_qubits, *batch), in
+    place; returns the (possibly new) buffer."""
     for seg in segments:
         if seg[0] == "ops":
             _apply_ops(amps, num_qubits, seg[1], seg[2], seg[3], seg[4])
@@ -294,9 +347,7 @@ def site_probabilities(state: StateVector, system_qubits) -> np.ndarray:
             raise ValueError(f"qubit {q} out of range")
     amps = state.amplitudes
     if qs == tuple(range(len(qs))):
-        out = np.empty(1 << len(qs), dtype=np.float64)
-        _site_probs(amps, state.num_qubits, len(qs), out)
-        return out
+        return _site_probs(amps, len(qs))
     p = amps.real**2 + amps.imag**2
     idx = np.arange(amps.size)
     m = np.zeros(amps.size, dtype=np.int64)

@@ -394,3 +394,38 @@ def test_custom_hamiltonian_matches_its_preset(tmp_path, capsys):
         rows[name] = (tmp_path / f"{name}.csv").read_text().splitlines()[2:]
     capsys.readouterr()
     assert rows["matrix"] == rows["preset"]
+
+
+@pytest.mark.parametrize("case", ["directory", "list"])
+def test_config_must_be_a_readable_object(tmp_path, capsys, case):
+    if case == "directory":
+        path = str(tmp_path)
+    else:
+        path = write_config(tmp_path, [1, 2])
+    assert cli.main(["coherent", "--config", path]) == 2
+    assert_one_line_error(capsys, "config error:")
+
+
+@pytest.mark.parametrize("command", ["coherent", "dephasing"])
+@pytest.mark.parametrize("key", ["directory", "basename"])
+def test_output_names_must_be_strings(tmp_path, capsys, monkeypatch, command, key):
+    if command == "coherent":
+        cfg = coherent_config(tmp_path)
+    else:
+        cfg = dephasing_config(tmp_path)
+        # the name is checked before any work
+        monkeypatch.setattr(cli.noise, "run_ensemble", None)
+    payload = json.loads(Path(cfg).read_text())
+    payload["output"][key] = 5
+    cfg = write_config(tmp_path, payload)
+    assert cli.main([command, "--config", cfg]) == 2
+    assert key in assert_one_line_error(capsys, "config error:")
+
+
+def test_preset_must_be_a_name(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {"hamiltonian": {"preset": ["near_resonant"]}, "ensemble": {"t_max_fs": 10.0, "step_fs": 5.0}},
+    )
+    assert cli.main(["coherent", "--config", cfg]) == 2
+    assert "preset" in assert_one_line_error(capsys, "config error:")

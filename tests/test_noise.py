@@ -1,9 +1,11 @@
 """Telegraph-noise trajectories and the stochastic ensemble engine."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from excitonsim import model, noise, reference
+from excitonsim import model, noise, qcore, reference
 from excitonsim.errors import ConfigError, NumericalValidationError
 from excitonsim.qcore import Gate, QuantumCircuit
 from excitonsim.model import SystemHamiltonian
@@ -180,3 +182,47 @@ def test_ancilla_leak_in_iteration_circuit_is_rejected(monkeypatch):
     ens = EnsembleConfig(runs=2, shots=10, dt_fs=2.0, t_max_fs=8.0, master_seed=3)
     with pytest.raises(NumericalValidationError, match="ancilla"):
         noise.run_ensemble(NEAR, cfg, ens)
+
+
+def test_step_unitaries_match_per_column_circuit_runs():
+    h = four_site_chain()
+    cfg = FluctuatorConfig.uniform(300.0, 4, 125.0, fluctuators_per_site=2)
+    patterns = np.array(list(itertools.product([0.5, -0.5], repeat=8)))
+    unitaries = noise._step_unitaries(h, cfg, 2.0, patterns)
+    assert unitaries.shape == (256, 4, 4)
+
+    n_sys = h.n_system_qubits
+    dim = 1 << n_sys
+    worst = 0.0
+    for pattern, u in zip(patterns, unitaries):
+        circuit = noise.build_iteration_circuit(h, 2.0, pattern.reshape(4, 2), cfg.strengths_cm1)
+        for m in range(dim):
+            initial = qcore.StateVector.basis_state(n_sys + 1, dim | m)
+            column = qcore.run_circuit(circuit, initial).amplitudes[dim:]
+            worst = max(worst, np.abs(u[:, m] - column).max())
+    assert worst <= 1e-14
+    gram = np.einsum("pki,pkj->pij", unitaries.conj(), unitaries)
+    assert np.abs(gram - np.eye(dim)).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        lambda odd: (Gate.x(0), Gate.x(0)) if odd else (),
+        lambda odd: (Gate.rz(0.0, 1 if odd else 0),),
+        lambda odd: (Gate.dense(np.diag([1.0, -1.0 if odd else 1.0]), (0,)),),
+    ],
+    ids=["gate_count", "target", "dense_matrix"],
+)
+def test_step_unitaries_reject_patterns_that_differ_beyond_angles(monkeypatch, extra):
+    build = noise.build_iteration_circuit
+
+    def uneven(h, dt_fs, signs, strengths_cm1):
+        circuit = build(h, dt_fs, signs, strengths_cm1)
+        return QuantumCircuit(circuit.num_qubits, circuit.gates + extra(signs[0, 0] < 0))
+
+    monkeypatch.setattr(noise, "build_iteration_circuit", uneven)
+    cfg = FluctuatorConfig.uniform(300.0, 2, 125.0)
+    patterns = np.array([[0.5, 0.5], [-0.5, 0.5]])
+    with pytest.raises(NumericalValidationError, match="more than its angles"):
+        noise._step_unitaries(NEAR, cfg, 2.0, patterns)

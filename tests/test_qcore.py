@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import excitonsim
 from excitonsim import qcore
 from excitonsim.errors import NumericalValidationError
 from excitonsim.model import SystemHamiltonian
@@ -281,3 +282,59 @@ def test_ancilla_stays_in_one_state_through_iterations():
         signs = rng.choice([0.5, -0.5], size=2)
         state = qcore.run_circuit(build_iteration_circuit(h, 2.0, signs, 500.0), state)
     assert (np.abs(state.amplitudes[:2]) ** 2).sum() < 1e-12
+
+
+def test_selected_backend_is_reported():
+    assert excitonsim.BACKEND == "numpy"
+
+
+def test_packed_circuit_is_reused():
+    h = SystemHamiltonian.near_resonant()
+    circuit = build_coherent_circuit(h, 25.0)
+    first = circuit.packed()
+    assert circuit.packed() is first
+    init = StateVector.basis_state(2, 2)
+    out1 = qcore.run_circuit(circuit, init)
+    out2 = qcore.run_circuit(circuit, init)
+    assert np.array_equal(out1.amplitudes, out2.amplitudes)
+
+
+def _random_ops_segment(rng, num_qubits, n_ops, n_columns):
+    """A packed ops segment with one angle per column: angles (n_ops, n_columns)."""
+    kinds = rng.integers(0, 3, n_ops).astype(np.int32)
+    targets = rng.integers(0, num_qubits, n_ops).astype(np.int32)
+    cmasks = np.zeros(n_ops, dtype=np.int64)
+    for i in range(n_ops):
+        if num_qubits > 1 and rng.random() < 0.5:
+            other = int(rng.integers(0, num_qubits - 1))
+            other = other if other < targets[i] else other + 1
+            cmasks[i] = 1 << other
+    angles = rng.uniform(-2 * math.pi, 2 * math.pi, (n_ops, n_columns))
+    return ("ops", kinds, targets, cmasks, angles)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 5])
+def test_batched_execution_matches_column_by_column(num_qubits):
+    rng = np.random.default_rng(42 + num_qubits)
+    dim = 1 << num_qubits
+    n_columns, n_states = 6, 3
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    for _ in range(10):
+        segments = [
+            _random_ops_segment(rng, num_qubits, 30, n_columns),
+            ("dense", q, (num_qubits - 1,)),
+            _random_ops_segment(rng, num_qubits, 30, n_columns),
+        ]
+        amps = rng.normal(size=(dim, n_columns, n_states)) + 1j * rng.normal(
+            size=(dim, n_columns, n_states)
+        )
+        amps /= np.linalg.norm(amps, axis=0)
+        batched = qcore._execute_packed(amps.copy(), num_qubits, segments)
+        assert batched.shape == amps.shape
+        for p in range(n_columns):
+            column = [
+                seg if seg[0] == "dense" else seg[:4] + (seg[4][:, p],) for seg in segments
+            ]
+            for b in range(n_states):
+                single = qcore._execute_packed(amps[:, p, b].copy(), num_qubits, column)
+                assert np.abs(batched[:, p, b] - single).max() <= 1e-15
