@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from excitonsim.model import UNITS, SystemHamiltonian, UnitsContext, mixing_angle
+from excitonsim.model import PHASE_PER_CM1_FS, SystemHamiltonian, mixing_angle
 from excitonsim.qcore import Gate, GateKind, QuantumCircuit
 
 SIGN_VALUES = (0.5, -0.5)
@@ -34,13 +34,13 @@ def _selective_phase_gates(values_cm1, scale, system_qubits, ancilla):
     return gates
 
 
-def _coherent_gates(h: SystemHamiltonian, t_fs: float, units: UnitsContext):
+def _coherent_gates(h: SystemHamiltonian, t_fs: float):
     decomp = h.eigensystem
     energies = decomp.energies_cm1 - decomp.energies_cm1.mean()
     n_sys = h.n_system_qubits
     system = tuple(range(n_sys))
     ancilla = n_sys
-    scale = units.phase_per_cm1_fs * t_fs
+    scale = PHASE_PER_CM1_FS * t_fs
     gates = []
     if h.n_sites == 2:
         theta = mixing_angle(h)
@@ -55,21 +55,15 @@ def _coherent_gates(h: SystemHamiltonian, t_fs: float, units: UnitsContext):
     return gates
 
 
-def build_coherent_circuit(
-    h: SystemHamiltonian, t_fs: float, units: UnitsContext = UNITS
-) -> QuantumCircuit:
+def build_coherent_circuit(h: SystemHamiltonian, t_fs: float) -> QuantumCircuit:
     """Evolution circuit for time t_fs; run on |0..0>_sys (x) |1>_anc."""
     if t_fs < 0:
         raise ValueError("t_fs must be non-negative")
-    return QuantumCircuit(h.n_system_qubits + 1, _coherent_gates(h, t_fs, units))
+    return QuantumCircuit(h.n_system_qubits + 1, _coherent_gates(h, t_fs))
 
 
 def build_iteration_circuit(
-    h: SystemHamiltonian,
-    dt_fs: float,
-    signs,
-    strengths_cm1,
-    units: UnitsContext = UNITS,
+    h: SystemHamiltonian, dt_fs: float, signs, strengths_cm1
 ) -> QuantumCircuit:
     """One Trotter step: coherent evolution over dt, then fluctuator phases.
 
@@ -77,13 +71,17 @@ def build_iteration_circuit(
     (n_sites,) or (n_sites, fluctuators_per_site); ``strengths_cm1`` is the
     per-site coupling g (scalar broadcasts). Site m picks up the phase
     e^{-i xi g k dt} for each of its fluctuators.
+
+    Signs shaped (P, n_sites, fluctuators_per_site) stack P sign patterns
+    into one circuit whose fluctuator gates carry (P,) angle vectors; it runs
+    only on a pattern-batched register (``qcore._execute_packed``).
     """
     if dt_fs <= 0:
         raise ValueError("dt_fs must be positive")
-    xi = np.atleast_1d(np.asarray(signs, dtype=np.float64))
+    xi = np.asarray(signs, dtype=np.float64)
     if xi.ndim == 1:
         xi = xi[:, None]
-    if xi.shape[0] != h.n_sites or xi.ndim != 2:
+    if xi.ndim not in (2, 3) or xi.shape[-2] != h.n_sites:
         raise ValueError(f"need one sign row per site, got shape {xi.shape}")
     if not np.isin(xi, SIGN_VALUES).all():
         raise ValueError("fluctuator signs must be +1/2 or -1/2")
@@ -91,17 +89,17 @@ def build_iteration_circuit(
     if (g < 0).any():
         raise ValueError("fluctuation strengths must be non-negative")
 
-    gates = _coherent_gates(h, dt_fs, units)
+    gates = _coherent_gates(h, dt_fs)
     n_sys = h.n_system_qubits
     system = tuple(range(n_sys))
     ancilla = n_sys
-    scale = units.phase_per_cm1_fs * dt_fs
+    scale = PHASE_PER_CM1_FS * dt_fs
     for m in range(h.n_sites):
         zero_bits = [q for k, q in enumerate(system) if not (m >> k) & 1]
         for q in zero_bits:
             gates.append(Gate.x(q))
-        for f in range(xi.shape[1]):
-            gates.append(Gate.crz(-2.0 * xi[m, f] * g[m] * scale, system, ancilla))
+        for f in range(xi.shape[-1]):
+            gates.append(Gate.crz(-2.0 * xi[..., m, f] * g[m] * scale, system, ancilla))
         for q in zero_bits:
             gates.append(Gate.x(q))
     return QuantumCircuit(n_sys + 1, gates)

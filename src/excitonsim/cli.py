@@ -27,6 +27,8 @@ from excitonsim import circuits, model, noise, qcore, reference
 from excitonsim.errors import ConfigError, NumericalValidationError
 
 ENV_OUTPUT_DIR = "EXCITONSIM_OUTPUT_DIR"
+# largest custom matrix entry (about 124 eV); squares of larger ones can overflow
+MAX_ENTRY_CM1 = 1e6
 
 PRESETS = {
     "near_resonant": model.SystemHamiltonian.near_resonant,
@@ -91,9 +93,11 @@ def resolve_hamiltonian(section: dict) -> model.SystemHamiltonian:
     entries = [
         _finite_number(x) for row in rows if isinstance(row, list) and len(row) == 2 for x in row
     ]
-    if len(rows) != 2 or len(entries) != 4 or None in entries:
+    bounded = None not in entries and max(map(abs, entries), default=0.0) <= MAX_ENTRY_CM1
+    if len(rows) != 2 or len(entries) != 4 or not bounded:
         raise ConfigError(
-            f"custom hamiltonian matrix must be 2x2 finite numbers (cm^-1), got {matrix!r}"
+            f"custom hamiltonian matrix must be 2x2 numbers of at most {MAX_ENTRY_CM1:g} "
+            f"cm^-1 in magnitude, got {matrix!r}"
         )
     eps0, coupling, coupling_t, eps1 = entries
     if coupling != coupling_t:
@@ -133,7 +137,10 @@ def _get(section: dict, key: str, kind, default=None, where: str = ""):
 
 
 def _output_path(cfg: dict, args, default_name: str) -> Path:
-    out = cfg.get("output", {}) if isinstance(cfg.get("output", {}), dict) else {}
+    """The output file, its directory created; a null [output] means the defaults."""
+    out = {} if cfg.get("output") is None else cfg["output"]
+    if not isinstance(out, dict):
+        raise ConfigError(f"bad [output]: expected an object, got {out!r}")
     for key in ("directory", "basename"):
         if out.get(key) is not None and not isinstance(out[key], str):
             raise ConfigError(f"bad '{key}' in [output]: expected a string, got {out[key]!r}")
@@ -145,7 +152,12 @@ def _output_path(cfg: dict, args, default_name: str) -> Path:
     )
     base = out.get("basename") or default_name
     path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot create output directory {directory!r}: {exc}") from exc
+    if Path(base).name != base or "\0" in base or (path / base).is_dir():
+        raise ConfigError(f"bad 'basename' in [output]: {base!r} is not a file name")
     return path / base
 
 
@@ -209,9 +221,12 @@ def cmd_coherent(args) -> int:
     seed = args.seed if args.seed is not None else _get(ens, "master_seed", int, default=0, where="ensemble")
     if step <= 0 or t_max < 0:
         raise ConfigError("need step_fs > 0 and t_max_fs >= 0")
-    if shots < 0:
-        raise ConfigError("shots must be >= 0")
+    if not 0 <= shots <= noise.MAX_SHOTS:
+        raise ConfigError(f"shots must be between 0 and {noise.MAX_SHOTS}")
+    if seed < 0:
+        raise ConfigError("master_seed must be non-negative")
     n = noise.exact_steps(t_max, step, "t_max_fs")
+    path = _output_path(cfg, args, "coherent.csv")
     t_grid = np.arange(n + 1) * step
 
     p0_a, p1_a = model.analytic_populations(h, t_grid)
@@ -234,7 +249,6 @@ def cmd_coherent(args) -> int:
         "hamiltonian": _hamiltonian_echo(h),
         "ensemble": {"t_max_fs": t_max, "step_fs": step, "shots": shots, "master_seed": seed},
     }
-    path = _output_path(cfg, args, "coherent.csv")
     write_csv(path, columns, rows, echo)
     print(path)
     return 0

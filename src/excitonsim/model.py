@@ -23,16 +23,6 @@ SPEED_OF_LIGHT_CM_PER_FS = 2.99792458e-5
 PHASE_PER_CM1_FS = 2.0 * math.pi * SPEED_OF_LIGHT_CM_PER_FS
 
 
-@dataclass(frozen=True)
-class UnitsContext:
-    """Unit bridge: phase accumulated per cm^-1 of energy per fs of time."""
-
-    phase_per_cm1_fs: float = PHASE_PER_CM1_FS
-
-
-UNITS = UnitsContext()
-
-
 def _as_readonly(a, dtype=np.float64):
     arr = np.array(a, dtype=dtype)
     arr.setflags(write=False)
@@ -178,7 +168,7 @@ def mixing_angle(h: SystemHamiltonian) -> float:
     return math.atan2(2.0 * h.couplings_cm1[0, 1], eps0 - eps1)
 
 
-def analytic_populations(h: SystemHamiltonian, t_fs, units: UnitsContext = UNITS):
+def analytic_populations(h: SystemHamiltonian, t_fs):
     """Closed-form (P0, P1) for a two-site chain prepared in site 0.
 
     Accepts scalar or array times; depends only on eps0 - eps1 and J, so it
@@ -194,19 +184,19 @@ def analytic_populations(h: SystemHamiltonian, t_fs, units: UnitsContext = UNITS
         p1 = np.zeros_like(t)
     else:
         amp = 4.0 * j * j / (omega * omega)
-        p1 = amp * np.sin(0.5 * omega * units.phase_per_cm1_fs * t) ** 2
+        p1 = amp * np.sin(0.5 * omega * PHASE_PER_CM1_FS * t) ** 2
     return 1.0 - p1, p1
 
 
-def beating_period(h: SystemHamiltonian, units: UnitsContext = UNITS) -> float:
-    """Period 2*pi / (Omega * phase_per_cm1_fs) of the population beating."""
+def beating_period(h: SystemHamiltonian) -> float:
+    """Period 2*pi / (Omega * PHASE_PER_CM1_FS) of the population beating."""
     if h.n_sites != 2:
         raise ValueError("beating_period is defined for two-site chains")
     eps0, eps1 = h.site_energies_cm1
     omega = math.hypot(eps0 - eps1, 2.0 * h.couplings_cm1[0, 1])
     if omega == 0.0:
         raise ValueError("degenerate uncoupled system has no beating period")
-    return 2.0 * math.pi / (omega * units.phase_per_cm1_fs)
+    return 2.0 * math.pi / (omega * PHASE_PER_CM1_FS)
 
 
 @dataclass(frozen=True)

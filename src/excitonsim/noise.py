@@ -25,6 +25,8 @@ from excitonsim.qcore import _execute_packed
 _DIVISIBILITY_RTOL = 1e-9
 # probability an iteration circuit may move out of the ancilla-|1> half
 _LEAK_TOL = 1e-12
+# numpy's multinomial sampler counts in int64
+MAX_SHOTS = np.iinfo(np.int64).max
 
 
 def exact_steps(span: float, step: float, what: str) -> int:
@@ -157,8 +159,8 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        if self.shots < 1:
-            raise ConfigError("shots must be >= 1")
+        if not 1 <= self.shots <= MAX_SHOTS:
+            raise ConfigError(f"shots must be between 1 and {MAX_SHOTS}")
         if self.dt_fs <= 0:
             raise ConfigError("dt_fs must be positive")
         if self.t_max_fs < 0:
@@ -187,15 +189,6 @@ class EnsembleResult:
     master_seed: int
 
 
-def _same_structure(a: tuple, b: tuple) -> bool:
-    """Whether two packed segments differ at most in their angles."""
-    if a[0] != b[0]:
-        return False
-    if a[0] == "ops":
-        return all(np.array_equal(x, y) for x, y in zip(a[1:4], b[1:4]))
-    return a[2] == b[2] and np.array_equal(a[1], b[1])
-
-
 def _step_unitaries(
     h: SystemHamiltonian,
     noise_cfg: FluctuatorConfig,
@@ -204,39 +197,21 @@ def _step_unitaries(
 ) -> np.ndarray:
     """System unitary of each sign pattern's iteration circuit, (P, D, D).
 
-    The patterns' circuits share one gate structure and differ only in their
-    angles, so they run together in one execution on a (2D, P, D) block:
-    column m of pattern p starts as |m>_sys (x) |1>_anc. The circuit must
-    leave the ancilla in |1>, so its |0> half is checked to stay empty.
+    The patterns differ only in the angles of the fluctuator gates, so one
+    circuit built over all of them runs in one execution on a (2D, P, D)
+    block: column m of pattern p starts as |m>_sys (x) |1>_anc. The circuit
+    must leave the ancilla in |1>, so its |0> half is checked to stay empty.
     """
     n_sys = h.n_system_qubits
     dim = 1 << n_sys
     n_patterns = len(patterns)
     if n_patterns == 0:
         return np.empty((0, dim, dim), dtype=np.complex128)
-    shape = (noise_cfg.n_sites, noise_cfg.fluctuators_per_site)
-    # the first pattern's stream, with room for every pattern's angles
-    batched = None
-    for p, pattern in enumerate(patterns):
-        segments = build_iteration_circuit(
-            h, dt_fs, pattern.reshape(shape), noise_cfg.strengths_cm1
-        ).packed()
-        if batched is None:
-            batched = [
-                seg[:4] + (np.empty((seg[4].size, n_patterns)),) if seg[0] == "ops" else seg
-                for seg in segments
-            ]
-        elif len(segments) != len(batched) or not all(map(_same_structure, segments, batched)):
-            raise NumericalValidationError(
-                f"sign pattern {pattern.tolist()}: iteration circuit differs "
-                f"from that of {patterns[0].tolist()} in more than its angles"
-            )
-        for seg, into in zip(segments, batched):
-            if seg[0] == "ops":
-                into[4][:, p] = seg[4]
+    signs = patterns.reshape(n_patterns, noise_cfg.n_sites, noise_cfg.fluctuators_per_site)
+    circuit = build_iteration_circuit(h, dt_fs, signs, noise_cfg.strengths_cm1)
     amps = np.zeros((2 * dim, n_patterns, dim), dtype=np.complex128)
     amps[dim:] = np.eye(dim)[:, None, :]
-    amps = _execute_packed(amps, n_sys + 1, batched)
+    amps = _execute_packed(amps, n_sys + 1, circuit.packed())
     leak = (amps[:dim].real ** 2 + amps[:dim].imag ** 2).sum(axis=0)
     leaked = np.argwhere(leak > _LEAK_TOL)
     if leaked.size:
@@ -256,9 +231,9 @@ def _run_frequencies(
 ) -> np.ndarray:
     """Shot frequencies for a block of runs, shape (runs, n_steps + 1, n_sites).
 
-    Each distinct fluctuator sign pattern in the block is compiled to its
-    step unitary once, and all runs advance together, one gathered product
-    per step. Run r draws its trajectory and its shots from the two children
+    The block's distinct fluctuator sign patterns are compiled to their
+    step unitaries through one circuit, and all runs advance together, one
+    gathered product per step. Run r draws its trajectory and its shots from the two children
     of SeedSequence([master_seed, r]), so a run's frequencies do not depend
     on which block it is in.
     """

@@ -55,7 +55,8 @@ class Gate:
     kind: GateKind
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
-    angle: float | None = None
+    # a float, or a read-only (P,) vector: one angle per sign pattern
+    angle: float | np.ndarray | None = None
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
@@ -65,8 +66,11 @@ class Gate:
         if any(q < 0 for q in touched):
             raise ValueError(f"negative qubit index in {touched}")
         if self.kind in _ANGLED:
-            if self.angle is None or not np.isfinite(self.angle):
-                raise ValueError(f"{self.kind.value} requires a finite angle")
+            angle = np.array(self.angle, dtype=np.float64)  # None reads as nan
+            if angle.ndim > 1 or not np.isfinite(angle).all():
+                raise ValueError(f"{self.kind.value} requires a finite angle or angle vector")
+            angle.setflags(write=False)
+            object.__setattr__(self, "angle", angle if angle.ndim else float(angle))
         if self.kind is GateKind.DENSE_UNITARY:
             dim = 1 << len(self.targets)
             m = self.matrix
@@ -83,17 +87,17 @@ class Gate:
 
     @classmethod
     def ry(cls, theta: float, qubit: int) -> "Gate":
-        return cls(GateKind.ROT_Y, (qubit,), angle=float(theta))
+        return cls(GateKind.ROT_Y, (qubit,), angle=theta)
 
     @classmethod
     def rz(cls, phi: float, qubit: int) -> "Gate":
-        return cls(GateKind.ROT_Z, (qubit,), angle=float(phi))
+        return cls(GateKind.ROT_Z, (qubit,), angle=phi)
 
     @classmethod
-    def crz(cls, phi: float, controls, target: int) -> "Gate":
+    def crz(cls, phi, controls, target: int) -> "Gate":
         if isinstance(controls, int):
             controls = (controls,)
-        return cls(GateKind.CONTROLLED_ROT_Z, (target,), tuple(controls), float(phi))
+        return cls(GateKind.CONTROLLED_ROT_Z, (target,), tuple(controls), phi)
 
     @classmethod
     def cnot(cls, control: int, target: int) -> "Gate":
@@ -144,7 +148,9 @@ def _control_mask(gate: Gate) -> int:
 def _pack(gates) -> list:
     """Group consecutive single-target gates into packed array segments.
 
-    Each DenseUnitary gate breaks the stream and is a segment of its own.
+    Each DenseUnitary gate breaks the stream and is a segment of its own. A
+    segment's angles are (n_ops,), or (n_ops, P) when a gate in it carries
+    a (P,) angle vector; scalar angles then repeat across the P columns.
     """
     segments: list = []
     kinds: list[int] = []
@@ -154,6 +160,8 @@ def _pack(gates) -> list:
 
     def flush():
         if kinds:
+            if any(isinstance(a, np.ndarray) for a in angles):
+                angles[:] = np.broadcast_arrays(*angles)
             segments.append(
                 (
                     "ops",
@@ -309,9 +317,15 @@ class StateVector:
         return float(abs(self.amplitudes[index]) ** 2)
 
 
+def _check_single_pattern(gates) -> None:
+    if any(isinstance(gate.angle, np.ndarray) for gate in gates):
+        raise ValueError("a gate with one angle per sign pattern needs a pattern-batched register")
+
+
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Return gate * state; the input state is untouched."""
     _check_indices(gate, state.num_qubits)
+    _check_single_pattern((gate,))
     amps = state.amplitudes.copy()
     amps = _execute_packed(amps, state.num_qubits, _pack((gate,)))
     norm2 = float(np.vdot(amps, amps).real)
@@ -327,6 +341,7 @@ def run_circuit(circuit: QuantumCircuit, initial: StateVector) -> StateVector:
     """Apply all gates in order. Deterministic; validates the final norm."""
     if circuit.num_qubits != initial.num_qubits:
         raise ValueError("circuit and state sizes differ")
+    _check_single_pattern(circuit.gates)
     amps = initial.amplitudes.copy()
     amps = _execute_packed(amps, circuit.num_qubits, circuit.packed())
     return StateVector(circuit.num_qubits, amps)

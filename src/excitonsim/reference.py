@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from excitonsim.errors import ConfigError, NumericalValidationError
-from excitonsim.model import UNITS, SystemHamiltonian, UnitsContext, beating_period
+from excitonsim.model import PHASE_PER_CM1_FS, SystemHamiltonian, beating_period
 from excitonsim.noise import FluctuatorTrajectory
 
 THZ_TO_INV_FS = 1e-3
@@ -85,11 +85,11 @@ class LindbladModel:
             ops.append(l)
         return ops
 
-    def liouvillian(self, units: UnitsContext = UNITS) -> np.ndarray:
+    def liouvillian(self) -> np.ndarray:
         """Generator acting on row-major vec(rho), in 1/fs."""
         n = self.h.n_sites
         eye = np.eye(n)
-        h_rad = self.h.matrix() * units.phase_per_cm1_fs
+        h_rad = self.h.matrix() * PHASE_PER_CM1_FS
         gen = -1j * (np.kron(h_rad, eye) - np.kron(eye, h_rad.T))
         rate = self.gamma_deph_thz * THZ_TO_INV_FS
         for l in self.jump_operators():
@@ -122,7 +122,6 @@ def _integrate_populations(
     rho0: np.ndarray,
     t_grid_fs: np.ndarray,
     max_step_fs: float,
-    units: UnitsContext,
 ):
     """Shared stepping core; returns vec(rho) at every grid point.
 
@@ -135,7 +134,7 @@ def _integrate_populations(
         raise ConfigError("time grid must be strictly increasing and non-negative")
     if max_step_fs <= 0:
         raise ConfigError("max_step_fs must be positive")
-    gen = model.liouvillian(units)
+    gen = model.liouvillian()
     v = rho0.reshape(-1).astype(np.complex128)
     out = np.empty((t.size, v.size), dtype=np.complex128)
     propagators: dict[float, np.ndarray] = {}
@@ -163,11 +162,10 @@ def lindblad_integrate(
     rho0: DensityMatrix,
     t_grid_fs,
     max_step_fs: float = 0.5,
-    units: UnitsContext = UNITS,
 ) -> list[DensityMatrix]:
     """Density matrices on the grid; every output is invariant-checked."""
     t = np.asarray(t_grid_fs, dtype=np.float64)
-    vecs = _integrate_populations(model, rho0.matrix, t, max_step_fs, units)
+    vecs = _integrate_populations(model, rho0.matrix, t, max_step_fs)
     n = model.h.n_sites
     return [DensityMatrix(vec.reshape(n, n)) for vec in vecs]
 
@@ -176,13 +174,12 @@ def lindblad_populations(
     model: LindbladModel,
     t_grid_fs,
     max_step_fs: float = 0.5,
-    units: UnitsContext = UNITS,
 ) -> np.ndarray:
     """Site populations from |0><0|, shape (n_points, n_sites). Fast path
     for the fit loop: same integrator, invariants checked only at the end."""
     n = model.h.n_sites
     rho0 = DensityMatrix.site_excitation(n).matrix
-    vecs = _integrate_populations(model, rho0, np.asarray(t_grid_fs, float), max_step_fs, units)
+    vecs = _integrate_populations(model, rho0, np.asarray(t_grid_fs, float), max_step_fs)
     DensityMatrix(vecs[-1].reshape(n, n))
     pops = vecs.reshape(-1, n, n).diagonal(axis1=1, axis2=2).real
     return pops
@@ -193,7 +190,6 @@ def exact_trajectory_series(
     trajectory: FluctuatorTrajectory,
     dt_fs: float,
     n_steps: int | None = None,
-    units: UnitsContext = UNITS,
 ) -> np.ndarray:
     """Piecewise-exact populations on the iteration grid, (n_steps+1, n_sites).
 
@@ -209,7 +205,6 @@ def exact_trajectory_series(
         )
     shifts = trajectory.site_shifts_cm1()
     h_site = h.matrix()
-    k = units.phase_per_cm1_fs
     psi = np.zeros(h.n_sites, dtype=np.complex128)
     psi[0] = 1.0
     out = np.empty((n_steps + 1, h.n_sites), dtype=np.float64)
@@ -221,7 +216,7 @@ def exact_trajectory_series(
         if u is None:
             total = h_site + np.diag(shifts[:, i])
             w, vecs = np.linalg.eigh(total)
-            u = (vecs * np.exp(-1j * w * k * dt_fs)) @ vecs.conj().T
+            u = (vecs * np.exp(-1j * w * PHASE_PER_CM1_FS * dt_fs)) @ vecs.conj().T
             cache[key] = u
         psi = u @ psi
         out[i + 1] = np.abs(psi) ** 2
@@ -233,13 +228,12 @@ def exact_trajectory_propagate(
     trajectory: FluctuatorTrajectory,
     dt_fs: float,
     t_fs: float,
-    units: UnitsContext = UNITS,
 ) -> np.ndarray:
     """Populations at time t_fs (a point on the iteration grid)."""
     steps = int(round(t_fs / dt_fs))
     if abs(steps * dt_fs - t_fs) > 1e-9 * max(t_fs, dt_fs):
         raise ValueError(f"t_fs={t_fs} is not on the dt={dt_fs} grid")
-    return exact_trajectory_series(h, trajectory, dt_fs, steps, units)[-1]
+    return exact_trajectory_series(h, trajectory, dt_fs, steps)[-1]
 
 
 @dataclass(frozen=True)

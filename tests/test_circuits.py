@@ -1,5 +1,6 @@
 """Coherent and dephasing-iteration circuit builders."""
 
+import itertools
 import math
 
 import numpy as np
@@ -196,3 +197,35 @@ def test_circuit_records_dump():
     import json
 
     json.dumps(records)  # must be serializable
+
+
+@pytest.mark.parametrize("n_sites,n_fluct", [(2, 1), (2, 3), (4, 1), (4, 2)])
+def test_pattern_batched_build_matches_single_pattern_builds(n_sites, n_fluct):
+    if n_sites == 2:
+        h = NEAR
+    else:
+        j = np.diag(np.full(3, 126.0), 1)
+        h = SystemHamiltonian(np.array([13000.0, 12900.0, 13000.0, 12900.0]), j + j.T)
+    patterns = np.array(list(itertools.product([0.5, -0.5], repeat=n_sites * n_fluct)))
+    patterns = patterns.reshape(-1, n_sites, n_fluct)
+    strengths = np.linspace(100.0, 400.0, n_sites)
+    batched = circuits.build_iteration_circuit(h, 2.0, patterns, strengths)
+    singles = [circuits.build_iteration_circuit(h, 2.0, p, strengths) for p in patterns]
+
+    assert all(len(s.gates) == len(batched.gates) for s in singles)
+    for k, gate in enumerate(batched.gates):
+        others = [s.gates[k] for s in singles]
+        layout = (gate.kind, gate.targets, gate.controls)
+        assert all((o.kind, o.targets, o.controls) == layout for o in others)
+        angles = [o.angle for o in others]
+        if np.ndim(gate.angle):
+            assert gate.angle.shape == (len(patterns),) and not gate.angle.flags.writeable
+            assert np.array_equal(gate.angle, angles)
+        else:
+            assert all(a == gate.angle for a in angles)
+    # packed, a segment's angles are one column per pattern, or one shared column
+    for seg, *single_segs in zip(batched.packed(), *(s.packed() for s in singles)):
+        if seg[0] == "ops":
+            columns = np.stack([s[4] for s in single_segs], axis=1)
+            shared = seg[4].reshape(len(seg[4]), -1)
+            assert np.array_equal(np.broadcast_to(shared, columns.shape), columns)

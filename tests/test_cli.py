@@ -3,10 +3,13 @@
 import functools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from excitonsim import cli, reference
 
@@ -365,6 +368,7 @@ def test_fit_rejects_bad_input_with_one_line(tmp_path, capsys, case):
         [[13000.0, True], [True, 12900.0]],
         [[13000.0, 126.0], [0.0, 12900.0]],
         [[13000.0, 126.0, 0.0], [126.0, 12900.0, 0.0], [0.0, 0.0, 12800.0]],
+        [[0.0, 6.7e153], [6.7e153, 0.0]],
         "near_resonant",
     ],
 )
@@ -429,3 +433,126 @@ def test_preset_must_be_a_name(tmp_path, capsys):
     )
     assert cli.main(["coherent", "--config", cfg]) == 2
     assert "preset" in assert_one_line_error(capsys, "config error:")
+
+
+@pytest.mark.parametrize("command", ["coherent", "dephasing"])
+@pytest.mark.parametrize("output", ["not_an_object", "directory_is_a_file"])
+def test_bad_output_settings_fail_before_any_work(tmp_path, capsys, monkeypatch, command, output):
+    if command == "coherent":
+        cfg = coherent_config(tmp_path)
+    else:
+        cfg = dephasing_config(tmp_path)
+        monkeypatch.setattr(cli.noise, "run_ensemble", None)
+    payload = json.loads(Path(cfg).read_text())
+    if output == "not_an_object":
+        payload["output"] = 5
+    else:
+        (tmp_path / "taken").write_text("")
+        payload["output"]["directory"] = str(tmp_path / "taken")
+    cfg = write_config(tmp_path, payload)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert cli.main([command, "--config", cfg]) == 2
+    assert "output" in assert_one_line_error(capsys, "config error:")
+    assert not any(cwd.iterdir())
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_coherent_rejects_negative_seed(tmp_path, capsys, where):
+    cfg = coherent_config(tmp_path, shots=10, master_seed=-1 if where == "config" else 3)
+    argv = ["coherent", "--config", cfg] + (["--seed", "-1"] if where == "flag" else [])
+    assert cli.main(argv) == 2
+    assert "master_seed" in assert_one_line_error(capsys, "config error:")
+
+
+
+def _json_values():
+    leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6))
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+def _non_numbers():
+    return _json_values().filter(lambda v: isinstance(v, bool) or not isinstance(v, (int, float)))
+
+
+_ROWS = st.lists(st.one_of(st.floats(), _json_values()), min_size=2, max_size=2)
+_MATRICES = st.one_of(st.lists(_ROWS, min_size=2, max_size=2), _json_values())
+_DELETE = object()
+_VALID_COHERENT = {
+    "hamiltonian": {"preset": "near_resonant"},
+    "ensemble": {"t_max_fs": 30.0, "step_fs": 1.5, "shots": 10, "master_seed": 7},
+    "output": {"directory": "out", "basename": "run.csv"},
+}
+# what each config field may be replaced by: edge values, then any JSON
+# value; output locations stay inside the working directory, and the horizon
+# and step stay small enough that an accepted grid has at most 121 points
+_FIELD_VALUES = {
+    ("hamiltonian",): st.one_of(st.fixed_dictionaries({"matrix": _MATRICES}), _json_values()),
+    ("hamiltonian", "preset"): st.one_of(st.sampled_from(sorted(cli.PRESETS)), _json_values()),
+    ("hamiltonian", "matrix"): _MATRICES,
+    ("ensemble",): _json_values(),
+    ("ensemble", "t_max_fs"): st.one_of(st.floats(-60.0, 60.0), _non_numbers()),
+    ("ensemble", "step_fs"): st.one_of(st.sampled_from([0.5, 5.0, 7.0, 0.0, -1.0]), _non_numbers()),
+    ("ensemble", "shots"): st.one_of(st.sampled_from([0, 1, -1, 2**63, 2**80]), _json_values()),
+    ("ensemble", "master_seed"): st.one_of(st.sampled_from([0, -1, 2**63, 2**80]), _json_values()),
+    ("output",): st.one_of(st.none(), _json_values()),
+    ("output", "directory"): st.one_of(
+        st.sampled_from(["out/sub", "", ".", "taken", "taken/sub", "a\x00b"]),
+        _json_values().filter(lambda v: not isinstance(v, str)),
+    ),
+    ("output", "basename"): st.one_of(
+        st.sampled_from(["", ".", "..", "out", "a/b.csv", "a\x00b"]), _json_values()
+    ),
+}
+
+
+@st.composite
+def _coherent_configs(draw):
+    """A valid coherent config with up to three fields replaced or deleted."""
+    config = json.loads(json.dumps(_VALID_COHERENT))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(sorted(_FIELD_VALUES)))
+        value = draw(st.one_of(st.just(_DELETE), _FIELD_VALUES[path]))
+        *parents, key = path
+        node = config
+        for name in parents:
+            node = node.get(name) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            continue
+        if value is _DELETE:
+            node.pop(key, None)
+        else:
+            node[key] = value
+    return config
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(config=_coherent_configs(), seed=st.sampled_from([None, 0, -1, 2**80]))
+@example(config=dict(_VALID_COHERENT, output=5), seed=None)
+@example(config=dict(_VALID_COHERENT, output={"directory": "taken"}), seed=None)
+@example(config=_VALID_COHERENT, seed=-1)
+def test_fuzzed_coherent_configs_exit_cleanly(tmp_path, capsys, monkeypatch, config, seed):
+    monkeypatch.delenv(cli.ENV_OUTPUT_DIR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    if not (tmp_path / "taken").exists():
+        (tmp_path / "taken").write_text("")
+    path = write_config(tmp_path, config)
+    argv = ["coherent", "--config", path] + ([] if seed is None else ["--seed", str(seed)])
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert err.count("\n") <= 1 and "Traceback" not in err, err

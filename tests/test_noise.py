@@ -203,26 +203,3 @@ def test_step_unitaries_match_per_column_circuit_runs():
     assert worst <= 1e-14
     gram = np.einsum("pki,pkj->pij", unitaries.conj(), unitaries)
     assert np.abs(gram - np.eye(dim)).max() <= 1e-12
-
-
-@pytest.mark.parametrize(
-    "extra",
-    [
-        lambda odd: (Gate.x(0), Gate.x(0)) if odd else (),
-        lambda odd: (Gate.rz(0.0, 1 if odd else 0),),
-        lambda odd: (Gate.dense(np.diag([1.0, -1.0 if odd else 1.0]), (0,)),),
-    ],
-    ids=["gate_count", "target", "dense_matrix"],
-)
-def test_step_unitaries_reject_patterns_that_differ_beyond_angles(monkeypatch, extra):
-    build = noise.build_iteration_circuit
-
-    def uneven(h, dt_fs, signs, strengths_cm1):
-        circuit = build(h, dt_fs, signs, strengths_cm1)
-        return QuantumCircuit(circuit.num_qubits, circuit.gates + extra(signs[0, 0] < 0))
-
-    monkeypatch.setattr(noise, "build_iteration_circuit", uneven)
-    cfg = FluctuatorConfig.uniform(300.0, 2, 125.0)
-    patterns = np.array([[0.5, 0.5], [-0.5, 0.5]])
-    with pytest.raises(NumericalValidationError, match="more than its angles"):
-        noise._step_unitaries(NEAR, cfg, 2.0, patterns)

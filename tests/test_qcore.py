@@ -338,3 +338,26 @@ def test_batched_execution_matches_column_by_column(num_qubits):
             for b in range(n_states):
                 single = qcore._execute_packed(amps[:, p, b].copy(), num_qubits, column)
                 assert np.abs(batched[:, p, b] - single).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n_patterns", [1, 2, 3])
+def test_single_state_runs_reject_per_pattern_angles(n_patterns):
+    from excitonsim.circuits import build_iteration_circuit
+
+    gate = Gate.crz(np.linspace(0.1, 0.3, n_patterns), 0, 1)
+    assert gate.angle.shape == (n_patterns,) and not gate.angle.flags.writeable
+    signs = np.resize([0.5, -0.5], (n_patterns, 2, 1))
+    batched = build_iteration_circuit(SystemHamiltonian.near_resonant(), 2.0, signs, 300.0)
+    state = StateVector.basis_state(2, 2)
+    with pytest.raises(ValueError, match="pattern"):
+        qcore.apply_gate(state, gate)
+    with pytest.raises(ValueError, match="pattern"):
+        qcore.run_circuit(QuantumCircuit(2, (Gate.x(0), gate)), state)
+    with pytest.raises(ValueError, match="pattern"):
+        qcore.run_circuit(batched, state)
+
+
+@pytest.mark.parametrize("angle", [[0.1, np.nan], [0.1, np.inf], [[0.1, 0.2]], None])
+def test_angle_vectors_must_be_finite_and_one_dimensional(angle):
+    with pytest.raises(ValueError, match="finite angle"):
+        Gate.crz(angle, 0, 1)
