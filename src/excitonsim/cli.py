@@ -161,12 +161,30 @@ def _output_path(cfg: dict, args, default_name: str) -> Path:
     return path / base
 
 
+def _out_file(out: str | None) -> Path | None:
+    """The --out file, checked before any work: a path in an existing
+    directory that is not itself a directory."""
+    if not out:
+        return None
+    path = Path(out)
+    if "\0" in out or path.is_dir() or not path.parent.is_dir():
+        raise ConfigError(f"bad --out {out!r}: not a file in an existing directory")
+    return path
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(path: Path, columns: list[str], rows, config_echo: dict) -> None:
     lines = ["# config = " + json.dumps(config_echo, sort_keys=True)]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_csv(path: str):
@@ -285,6 +303,7 @@ def cmd_dephasing(args) -> int:
     )
     # surface what would fail the ensemble or the fit before doing any work
     noise_cfg.switch_interval_steps(ens.dt_fs)
+    noise.check_ensemble_memory(h.n_sites, ens)
     try:
         period = model.beating_period(h)
     except ValueError as exc:
@@ -296,6 +315,9 @@ def cmd_dephasing(args) -> int:
             f"({2.0 * period:.6g} fs) the dephasing-rate fit needs"
         )
     path = _output_path(cfg, args, "dephasing.csv")
+    sidecar = path.with_suffix(".fit.json")
+    if sidecar.is_dir():
+        raise ConfigError(f"bad [output]: the fit sidecar {str(sidecar)!r} is a directory")
 
     result = noise.run_ensemble(h, noise_cfg, ens, workers=args.workers)
     fit = _fit_rate(result.t_fs, result.p_mean, h)
@@ -343,8 +365,8 @@ def cmd_dephasing(args) -> int:
         "p1_lindblad_fit",
     ]
     write_csv(path, columns, rows, echo)
-    sidecar = path.with_suffix(".fit.json")
-    sidecar.write_text(
+    _write_text(
+        sidecar,
         json.dumps(
             {
                 "gamma_deph_thz": fit.gamma_deph_thz,
@@ -356,7 +378,6 @@ def cmd_dephasing(args) -> int:
             indent=2,
         )
         + "\n",
-        newline="\n",
     )
     print(path)
     print(sidecar)
@@ -375,6 +396,7 @@ def _fit_rate(t_fs, populations, h) -> reference.FitResult:
 
 
 def cmd_resources(args) -> int:
+    out = _out_file(args.out)
     try:
         report = model.estimate_resources(
             args.n_sites, args.fluctuators, args.t_fs, args.dt_fs
@@ -386,13 +408,14 @@ def cmd_resources(args) -> int:
         fluctuators = noise.FluctuatorConfig.uniform(0.0, args.n_sites, args.gamma_thz)
         payload["switch_interval_steps"] = fluctuators.switch_interval_steps(args.dt_fs)
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", newline="\n")
+    if out:
+        _write_text(out, text + "\n")
     print(text)
     return 0
 
 
 def cmd_fit(args) -> int:
+    out = _out_file(args.out)
     config, columns, data = read_csv(args.csv)
     needed = ("t_fs", "p0_mean", "p1_mean")
     if any(c not in columns for c in needed):
@@ -411,8 +434,8 @@ def cmd_fit(args) -> int:
         indent=2,
         sort_keys=True,
     )
-    if args.out:
-        Path(args.out).write_text(text + "\n", newline="\n")
+    if out:
+        _write_text(out, text + "\n")
     print(text)
     return 0
 

@@ -180,7 +180,7 @@ def analytic_populations(h: SystemHamiltonian, t_fs):
     j = h.couplings_cm1[0, 1]
     omega = math.hypot(eps0 - eps1, 2.0 * j)
     t = np.asarray(t_fs, dtype=np.float64)
-    if omega == 0.0:
+    if omega * omega == 0.0:  # a splitting too small to square never beats
         p1 = np.zeros_like(t)
     else:
         amp = 4.0 * j * j / (omega * omega)
@@ -194,7 +194,7 @@ def beating_period(h: SystemHamiltonian) -> float:
         raise ValueError("beating_period is defined for two-site chains")
     eps0, eps1 = h.site_energies_cm1
     omega = math.hypot(eps0 - eps1, 2.0 * h.couplings_cm1[0, 1])
-    if omega == 0.0:
+    if omega * PHASE_PER_CM1_FS == 0.0:
         raise ValueError("degenerate uncoupled system has no beating period")
     return 2.0 * math.pi / (omega * PHASE_PER_CM1_FS)
 

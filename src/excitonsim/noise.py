@@ -12,6 +12,7 @@ results are bit-identical however runs are scheduled across workers.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -27,6 +28,25 @@ _DIVISIBILITY_RTOL = 1e-9
 _LEAK_TOL = 1e-12
 # numpy's multinomial sampler counts in int64
 MAX_SHOTS = np.iinfo(np.int64).max
+
+
+def _physical_memory_bytes() -> int:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: no bound but numpy's
+        return np.iinfo(np.intp).max
+
+
+def check_ensemble_memory(n_sites: int, ens: "EnsembleConfig") -> None:
+    """ConfigError if the per-run shot frequencies alone, float64 of shape
+    (runs, n_steps + 1, n_sites), would not fit in physical memory."""
+    need = ens.runs * (ens.n_steps + 1) * n_sites * 8
+    have = _physical_memory_bytes()
+    if need > have:
+        raise ConfigError(
+            f"runs={ens.runs} needs {need / 2**30:.3g} GiB for the per-run "
+            f"frequencies, more than the {have / 2**30:.3g} GiB of memory"
+        )
 
 
 def exact_steps(span: float, step: float, what: str) -> int:
@@ -296,6 +316,7 @@ def run_ensemble(
     """
     if noise_cfg.n_sites != h.n_sites:
         raise ConfigError("fluctuator configuration does not match the chain size")
+    check_ensemble_memory(h.n_sites, ens)
     n_blocks = max(1, min(workers, ens.runs))
     bounds = [ens.runs * b // n_blocks for b in range(n_blocks + 1)]
     blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

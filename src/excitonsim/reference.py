@@ -11,7 +11,8 @@ Three independent routes:
   generator is constant, the RK4 steps between two grid points fold into one
   propagator matrix (the step's degree-4 Taylor polynomial, raised to the
   number of sub-steps), built once per distinct grid spacing and cached for
-  the call; each output point then costs a single matrix-vector product.
+  the call; a run of equally spaced points is then filled by repeated
+  squaring of that propagator, a handful of matrix products per run.
 * fit_dephasing_rate: least-squares match of the Lindblad populations to an
   ensemble time series, golden-section search over log(gamma_deph).
 """
@@ -32,6 +33,8 @@ THZ_TO_INV_FS = 1e-3
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = -1e-8
+# how far an ensemble population handed to the fit may stray outside [0, 1]
+POPULATION_TOL = 1e-6
 
 
 @dataclass(eq=False)
@@ -76,30 +79,24 @@ class LindbladModel:
         if self.gamma_deph_thz < 0:
             raise ValueError("gamma_deph_thz must be non-negative")
 
-    def jump_operators(self) -> list[np.ndarray]:
-        n = self.h.n_sites
-        ops = []
-        for m in range(n):
-            l = np.zeros((n, n), dtype=np.complex128)
-            l[m, m] = 1.0
-            ops.append(l)
-        return ops
-
     def liouvillian(self) -> np.ndarray:
         """Generator acting on row-major vec(rho), in 1/fs."""
-        n = self.h.n_sites
-        eye = np.eye(n)
-        h_rad = self.h.matrix() * PHASE_PER_CM1_FS
-        gen = -1j * (np.kron(h_rad, eye) - np.kron(eye, h_rad.T))
-        rate = self.gamma_deph_thz * THZ_TO_INV_FS
-        for l in self.jump_operators():
-            ldl = l.conj().T @ l
-            gen += rate * (
-                np.kron(l, l.conj())
-                - 0.5 * np.kron(ldl, eye)
-                - 0.5 * np.kron(eye, ldl.T)
-            )
-        return gen
+        coherent, dephasing = _generator_parts(self.h)
+        return coherent + (self.gamma_deph_thz * THZ_TO_INV_FS) * dephasing
+
+
+def _generator_parts(h: SystemHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """The Liouvillian on row-major vec(rho) is coherent + rate * dephasing.
+
+    coherent is -i[H, .]; with one projector jump |m><m| per site, the
+    dissipator leaves populations alone and damps each coherence rho_ij
+    (i != j) at the full rate, so dephasing is diag(-(1 - delta_ij))."""
+    n = h.n_sites
+    eye = np.eye(n)
+    h_rad = h.matrix() * PHASE_PER_CM1_FS
+    coherent = -1j * (np.kron(h_rad, eye) - np.kron(eye, h_rad.T))
+    dephasing = np.diag(eye.reshape(-1) - 1.0)
+    return coherent, dephasing
 
 
 def _rk4_propagator(gen: np.ndarray, span_fs: float, max_step_fs: float) -> np.ndarray:
@@ -118,38 +115,51 @@ def _rk4_propagator(gen: np.ndarray, span_fs: float, max_step_fs: float) -> np.n
 
 
 def _integrate_populations(
-    model: LindbladModel,
+    gen: np.ndarray,
     rho0: np.ndarray,
     t_grid_fs: np.ndarray,
     max_step_fs: float,
 ):
     """Shared stepping core; returns vec(rho) at every grid point.
 
-    One RK4 propagator is built per distinct grid spacing, so a uniform grid
-    costs one propagator and then one matvec per output point."""
+    The grid is walked in runs of equal spacing, with one RK4 propagator P
+    per distinct spacing. A run of L points is filled by repeated squaring:
+    with the first m points of the run known, the next m are those points
+    times P^m, and P^2m = P^m P^m, so a run costs ceil(log2 L) products."""
     t = np.asarray(t_grid_fs, dtype=np.float64)
     if t.ndim != 1 or t.size == 0:
         raise ConfigError("time grid must be a non-empty 1-d array")
-    if (np.diff(t) <= 0).any() or t[0] < 0:
+    spans = np.diff(t, prepend=0.0)
+    if not ((spans[1:] > 0).all() and t[0] >= 0):
         raise ConfigError("time grid must be strictly increasing and non-negative")
-    if max_step_fs <= 0:
+    if not max_step_fs > 0:
         raise ConfigError("max_step_fs must be positive")
-    gen = model.liouvillian()
+    if not t[-1] < 2.0**53 * max_step_fs:
+        raise ConfigError("time grid needs more than 2^53 RK4 sub-steps")
     v = rho0.reshape(-1).astype(np.complex128)
     out = np.empty((t.size, v.size), dtype=np.complex128)
+    first = int(spans[0] == 0.0)  # a grid from t = 0 starts with rho0 itself
+    out[:first] = v
+    # the runs of equal spacing are [a, b) for consecutive bounds a, b
+    bounds = sorted({first, t.size, *(np.flatnonzero(spans[1:] != spans[:-1]) + 1).tolist()})
     propagators: dict[float, np.ndarray] = {}
-    prev = 0.0
-    for i, ti in enumerate(t):
-        if ti > prev:
-            span = ti - prev
+    # a step too large for RK4 overflows; the trace check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in zip(bounds, bounds[1:]):
+            span = float(spans[a])
             prop = propagators.get(span)
             if prop is None:
                 prop = propagators[span] = _rk4_propagator(gen, span, max_step_fs)
-            v = prop @ v
-            prev = ti
-        out[i] = v
-    n = model.h.n_sites
-    drift = np.abs(out.reshape(t.size, n, n).trace(axis1=1, axis2=2) - 1.0).max()
+            out[a] = prop @ (out[a - 1] if a else v)
+            filled = 1
+            while filled < b - a:
+                m = min(filled, b - a - filled)
+                out[a + filled : a + filled + m] = out[a : a + m] @ prop.T
+                filled += m
+                if filled < b - a:
+                    prop = prop @ prop
+        # the trace of rho is the dot product of vec(rho) with vec(I)
+        drift = np.abs(out @ np.eye(rho0.shape[0]).reshape(-1) - 1.0).max()
     if not drift <= 1e-6:
         raise NumericalValidationError(
             f"integration step too large: trace drifted by {drift:.3e}"
@@ -165,7 +175,7 @@ def lindblad_integrate(
 ) -> list[DensityMatrix]:
     """Density matrices on the grid; every output is invariant-checked."""
     t = np.asarray(t_grid_fs, dtype=np.float64)
-    vecs = _integrate_populations(model, rho0.matrix, t, max_step_fs)
+    vecs = _integrate_populations(model.liouvillian(), rho0.matrix, t, max_step_fs)
     n = model.h.n_sites
     return [DensityMatrix(vec.reshape(n, n)) for vec in vecs]
 
@@ -177,12 +187,17 @@ def lindblad_populations(
 ) -> np.ndarray:
     """Site populations from |0><0|, shape (n_points, n_sites). Fast path
     for the fit loop: same integrator, invariants checked only at the end."""
-    n = model.h.n_sites
-    rho0 = DensityMatrix.site_excitation(n).matrix
-    vecs = _integrate_populations(model, rho0, np.asarray(t_grid_fs, float), max_step_fs)
+    rho0 = DensityMatrix.site_excitation(model.h.n_sites).matrix
+    return _site_populations(model.liouvillian(), rho0, t_grid_fs, max_step_fs)
+
+
+def _site_populations(
+    gen: np.ndarray, rho0: np.ndarray, t_grid_fs, max_step_fs: float
+) -> np.ndarray:
+    n = rho0.shape[0]
+    vecs = _integrate_populations(gen, rho0, np.asarray(t_grid_fs, float), max_step_fs)
     DensityMatrix(vecs[-1].reshape(n, n))
-    pops = vecs.reshape(-1, n, n).diagonal(axis1=1, axis2=2).real
-    return pops
+    return vecs.reshape(-1, n, n).diagonal(axis1=1, axis2=2).real
 
 
 def exact_trajectory_series(
@@ -261,8 +276,9 @@ def fit_dephasing_rate(
     log space. A minimum pushed against the upper bracket edge is a
     ValueError; the lower edge is a legitimate answer for effectively
     coherent series. A chain without a beating period, or a series of the
-    wrong shape, with non-finite values, shorter than two beating periods or
-    on a grid that is not strictly increasing from t >= 0, is a ConfigError.
+    wrong shape, with non-finite values or populations outside [0, 1],
+    shorter than two beating periods or on a grid that is not strictly
+    increasing from t >= 0, is a ConfigError.
     """
     t = np.asarray(t_fs, dtype=np.float64)
     p = np.asarray(populations, dtype=np.float64)
@@ -277,13 +293,21 @@ def fit_dephasing_rate(
     if t.size < 2 or t[-1] - t[0] < 2.0 * period:
         raise ConfigError("series must cover at least two beating periods")
 
+    worst = float(p.flat[np.argmax(np.abs(p - 0.5))])
+    if not abs(worst - 0.5) <= 0.5 + POPULATION_TOL:
+        raise ConfigError(f"ensemble populations must lie in [0, 1], got {worst!r}")
+
+    # the generator is coherent + rate * dephasing; both parts and the
+    # initial state are built once per fit
+    coherent, dephasing = _generator_parts(h)
+    rho0 = DensityMatrix.site_excitation(h.n_sites).matrix
     evaluations = 0
 
     def objective(log_gamma: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        model = LindbladModel(h, math.exp(log_gamma))
-        pops = lindblad_populations(model, t, max_step_fs)
+        gen = coherent + (math.exp(log_gamma) * THZ_TO_INV_FS) * dephasing
+        pops = _site_populations(gen, rho0, t, max_step_fs)
         return float(((pops - p) ** 2).sum())
 
     lo, hi = (math.log(g) for g in bracket_thz)

@@ -276,6 +276,31 @@ def test_dephasing_unbracketed_fit_is_numerical_failure(tmp_path, capsys, monkey
     assert "bracket" in assert_one_line_error(capsys, "numerical validation failure:")
 
 
+def test_dephasing_rejects_runs_too_large_to_allocate(tmp_path, capsys):
+    cfg = dephasing_config(tmp_path, ensemble={"runs": 10**15})
+    payload = json.loads(Path(cfg).read_text())
+    payload["output"]["directory"] = str(tmp_path / "out")
+    cfg = write_config(tmp_path, payload)
+    assert cli.main(["dephasing", "--config", cfg]) == 2
+    assert "runs" in assert_one_line_error(capsys, "config error:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["resources", "fit"])
+@pytest.mark.parametrize("out", ["directory", "missing_parent"])
+def test_out_must_be_a_file_in_an_existing_directory(tmp_path, capsys, monkeypatch, command, out):
+    target = tmp_path if out == "directory" else tmp_path / "missing" / "report.json"
+    if command == "resources":
+        argv = ["resources", "--n-sites", "2"]
+    else:
+        # the destination is checked before the fit
+        monkeypatch.setattr(reference, "fit_dephasing_rate", None)
+        argv = ["fit", fit_csv(tmp_path, FROZEN_ROWS)]
+    assert cli.main(argv + ["--out", str(target)]) == 2
+    assert "--out" in assert_one_line_error(capsys, "config error:")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_resources_rejects_non_positive_switching_rate(capsys):
     assert cli.main(["resources", "--n-sites", "2", "--gamma-thz", "0"]) == 2
     assert "switching_rate_thz" in assert_one_line_error(capsys, "config error:")
@@ -334,6 +359,14 @@ FROZEN_ROWS = [[2.0 * i, 1.0, 0.0] for i in range(301)]
 def test_fit_unbracketed_minimum_is_numerical_failure(tmp_path, capsys):
     assert cli.main(["fit", fit_csv(tmp_path, FROZEN_ROWS)]) == 3
     assert "bracket" in assert_one_line_error(capsys, "numerical validation failure:")
+
+
+def test_fit_rejects_populations_that_overflow_the_objective(tmp_path, capsys):
+    rows = [[t, 1e200, 0.0] for t, _, _ in FROZEN_ROWS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["fit", fit_csv(tmp_path, rows)]) == 2
+    assert "[0, 1]" in assert_one_line_error(capsys, "config error:")
 
 
 @pytest.mark.parametrize(
@@ -458,6 +491,15 @@ def test_bad_output_settings_fail_before_any_work(tmp_path, capsys, monkeypatch,
     assert not any(cwd.iterdir())
 
 
+def test_dephasing_rejects_a_sidecar_path_that_is_a_directory(tmp_path, capsys, monkeypatch):
+    cfg = dephasing_config(tmp_path)
+    monkeypatch.setattr(cli.noise, "run_ensemble", None)
+    (tmp_path / "dephasing.fit.json").mkdir()
+    assert cli.main(["dephasing", "--config", cfg]) == 2
+    assert "sidecar" in assert_one_line_error(capsys, "config error:")
+    assert not (tmp_path / "dephasing.csv").exists()
+
+
 @pytest.mark.parametrize("where", ["flag", "config"])
 def test_coherent_rejects_negative_seed(tmp_path, capsys, where):
     cfg = coherent_config(tmp_path, shots=10, master_seed=-1 if where == "config" else 3)
@@ -542,6 +584,7 @@ def _coherent_configs(draw):
 @example(config=dict(_VALID_COHERENT, output=5), seed=None)
 @example(config=dict(_VALID_COHERENT, output={"directory": "taken"}), seed=None)
 @example(config=_VALID_COHERENT, seed=-1)
+@example(config=dict(_VALID_COHERENT, hamiltonian={"matrix": [[1.7e-221, 0.0], [0.0, 0.0]]}), seed=None)
 def test_fuzzed_coherent_configs_exit_cleanly(tmp_path, capsys, monkeypatch, config, seed):
     monkeypatch.delenv(cli.ENV_OUTPUT_DIR, raising=False)
     monkeypatch.chdir(tmp_path)
@@ -549,6 +592,109 @@ def test_fuzzed_coherent_configs_exit_cleanly(tmp_path, capsys, monkeypatch, con
         (tmp_path / "taken").write_text("")
     path = write_config(tmp_path, config)
     argv = ["coherent", "--config", path] + ([] if seed is None else ["--seed", str(seed)])
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert err.count("\n") <= 1 and "Traceback" not in err, err
+
+
+# a series the fit accepts: projector-dephasing populations on a 2-fs grid
+# over 300 fs, past the two near-resonant beating periods (246 fs) it needs
+_FIT_T = np.arange(151) * 2.0
+_FIT_POPS = reference.lindblad_populations(
+    reference.LindbladModel(cli.PRESETS["near_resonant"](), 6.0), _FIT_T
+)
+_VALID_FIT_LINES = [
+    '# config = {"hamiltonian": {"preset": "near_resonant"}}',
+    "t_fs,p0_mean,p1_mean",
+    *(f"{t:.9g},{p0:.9g},{p1:.9g}" for t, (p0, p1) in zip(_FIT_T, _FIT_POPS)),
+]
+_CELLS = st.one_of(
+    st.sampled_from(
+        ["", "nan", "-inf", "1e200", "-1e200", "1e400", "1.7e308", "-0", "0", "1", "2",
+         "-0.5", "1.0000001", "1e-320", "abc", "1,2"]
+    ),
+    st.floats().map(repr),
+)
+_HEADERS = st.one_of(
+    st.sampled_from(
+        ["t_fs,p0_mean", "p1_mean,t_fs,p0_mean", "t_fs,p0_mean,p0_mean",
+         "t_fs,p0_mean,p1_mean,extra", "t_fs,p0_mean,p1_mean,", "", "#"]
+    ),
+    st.text(max_size=12),
+)
+_EMBEDDED = st.one_of(
+    st.fixed_dictionaries({"hamiltonian": _FIELD_VALUES[("hamiltonian",)]}),
+    st.fixed_dictionaries(
+        {"hamiltonian": st.fixed_dictionaries({"preset": _FIELD_VALUES[("hamiltonian", "preset")]})}
+    ),
+    _json_values(),
+).map(lambda value: "# config = " + json.dumps(value))
+
+
+@st.composite
+def _fit_csvs(draw):
+    """The lines of a valid fit CSV with up to three cells, rows, the header or
+    the embedded config replaced."""
+    lines = list(_VALID_FIT_LINES)
+    for _ in range(draw(st.integers(0, 3))):
+        n_rows = len(lines) - 2
+        kind = draw(st.sampled_from(["cell", "row", "header", "config"]))
+        if kind == "cell" and n_rows > 0:
+            i = draw(st.integers(2, len(lines) - 1))
+            cells = lines[i].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(_CELLS)
+            lines[i] = ",".join(cells)
+        elif kind == "row" and n_rows > 0:
+            i = draw(st.integers(2, len(lines) - 1))
+            action = draw(st.sampled_from(["delete", "repeat", "truncate", "widen"]))
+            if action == "delete":
+                del lines[i]
+            elif action == "repeat":
+                lines.insert(i, lines[i])
+            elif action == "truncate":
+                del lines[i:]
+            else:
+                lines[i] += ",0.5"
+        elif kind == "header":
+            lines[1] = draw(_HEADERS)
+        elif kind == "config":
+            lines[0] = draw(st.one_of(_EMBEDDED, st.sampled_from(["", "# config = {", "# config ="])))
+    return lines
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    lines=_fit_csvs(),
+    preset=st.sampled_from([None, *sorted(cli.PRESETS)]),
+    out=st.sampled_from([None, "fit.json", ".", "missing/fit.json"]),
+)
+@example(lines=_VALID_FIT_LINES[:2] + ["0,1e200,0"] + _VALID_FIT_LINES[3:], preset=None, out=None)
+@example(lines=_VALID_FIT_LINES[:-1] + ["1.7e308,0.5,0.5"], preset=None, out=None)
+@example(lines=_VALID_FIT_LINES, preset=None, out=".")
+@example(
+    lines=['# config = {"hamiltonian": {"matrix": [[5e-324, 0], [0, 0]]}}'] + _VALID_FIT_LINES[1:],
+    preset=None,
+    out=None,
+)
+@example(
+    lines=['# config = {"hamiltonian": {"matrix": [[1000000, 126], [126, 12900]]}}'] + _VALID_FIT_LINES[1:],
+    preset=None,
+    out=None,
+)
+def test_fuzzed_fit_inputs_exit_cleanly(tmp_path, capsys, monkeypatch, lines, preset, out):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "series.csv"
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["fit", str(path)] + (["--preset", preset] if preset else []) + (["--out", out] if out else [])
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")

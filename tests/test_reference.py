@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from excitonsim import model, reference
-from excitonsim.errors import NumericalValidationError
+from excitonsim.errors import ConfigError, NumericalValidationError
 from excitonsim.model import SystemHamiltonian
 from excitonsim.noise import FluctuatorConfig, FluctuatorTrajectory, generate_trajectory
 from excitonsim.reference import DensityMatrix, LindbladModel
@@ -180,14 +180,63 @@ def test_lindblad_populations_match_exact_exponential(rate):
     assert np.abs(pops - exact).max() < 1e-7
 
 
+# Grids with runs of equal spacing, which are filled by repeated squaring of
+# the propagator: uniform from 0; a first point above 0, then a uniform run;
+# and a run, a run of another spacing, then the first spacing again. Every
+# value is a multiple of 0.25, so the spacings within a run are exactly equal.
+UNIFORM_GRID = np.arange(301) * 2.0
+OFFSET_GRID = 0.75 + np.arange(200) * 1.5
+RETURNING_GRID = np.concatenate(
+    [np.arange(51) * 2.0, 100.0 + np.arange(1, 38) * 0.5, 118.5 + np.arange(1, 41) * 2.0]
+)
+ORACLE_GRIDS = (UNEVEN_GRID, UNIFORM_GRID, OFFSET_GRID, RETURNING_GRID)
+
+
 @pytest.mark.parametrize("rate", ORACLE_RATES_THZ)
 def test_lindblad_propagator_is_the_rk4_step_loop(rate):
     model_ = LindbladModel(NEAR, rate)
-    expected = literal_rk4_populations(model_.liouvillian(), UNEVEN_GRID, 0.5)
-    pops = reference.lindblad_populations(model_, UNEVEN_GRID, max_step_fs=0.5)
-    assert np.abs(pops - expected).max() < 1e-12
-    series = reference.lindblad_integrate(model_, DensityMatrix.site_excitation(2), UNEVEN_GRID)
-    assert np.abs(np.stack([rho.populations for rho in series]) - expected).max() < 1e-12
+    for grid in ORACLE_GRIDS:
+        expected = literal_rk4_populations(model_.liouvillian(), grid, 0.5)
+        pops = reference.lindblad_populations(model_, grid, max_step_fs=0.5)
+        assert np.abs(pops - expected).max() < 1e-12
+        series = reference.lindblad_integrate(model_, DensityMatrix.site_excitation(2), grid)
+        assert np.abs(np.stack([rho.populations for rho in series]) - expected).max() < 1e-12
+
+
+def test_oracle_grids_have_the_runs_they_claim():
+    runs = [np.unique(np.diff(grid, prepend=0.0), return_counts=True) for grid in ORACLE_GRIDS[1:]]
+    assert [s.tolist() for s, _ in runs] == [[0.0, 2.0], [0.75, 1.5], [0.0, 0.5, 2.0]]
+    assert [c.tolist() for _, c in runs] == [[1, 300], [1, 199], [1, 37, 90]]
+
+
+def kron_sum_liouvillian(h_cm1: np.ndarray, rate_thz: float) -> np.ndarray:
+    """The Lindblad generator on row-major vec(rho), summed jump by jump:
+    L rho L^+ - {L^+ L, rho}/2 for each site projector L = |m><m|."""
+    n = h_cm1.shape[0]
+    h = h_cm1 * model.PHASE_PER_CM1_FS
+    eye = np.eye(n)
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    rate = rate_thz * 1e-3
+    for m in range(n):
+        jump = np.zeros((n, n), dtype=complex)
+        jump[m, m] = 1.0
+        ldl = jump.conj().T @ jump
+        gen += rate * (
+            np.kron(jump, jump.conj()) - 0.5 * np.kron(ldl, eye) - 0.5 * np.kron(eye, ldl.T)
+        )
+    return gen
+
+
+FOUR_SITES = SystemHamiltonian(
+    [13000.0, 12900.0, 13050.0, 12800.0],
+    [[0.0, 126.0, 5.0, 0.0], [126.0, 0.0, 80.0, 3.0], [5.0, 80.0, 0.0, 60.0], [0.0, 3.0, 60.0, 0.0]],
+)
+
+
+@pytest.mark.parametrize("h", [NEAR, NON, FOUR_SITES], ids=["near", "non", "four_sites"])
+@pytest.mark.parametrize("rate", [0.0, 10.0, 300.0])
+def test_liouvillian_is_the_projector_jump_kron_sum(h, rate):
+    assert np.array_equal(LindbladModel(h, rate).liouvillian(), kron_sum_liouvillian(h.matrix(), rate))
 
 
 def test_fit_round_trip_recovers_known_rate():
@@ -215,6 +264,21 @@ def test_fit_input_validation():
     bad[3, 0] = np.nan
     with pytest.raises(ValueError):
         reference.fit_dephasing_rate(t, bad, NEAR)
+
+
+def test_fit_rejects_populations_outside_the_unit_interval():
+    t = np.arange(0.0, 601.0, 2.0)
+    pops = reference.lindblad_populations(LindbladModel(NEAR, 5.0), t)
+    for value in (1e200, -1e200, 1.001, -1e-3):
+        bad = pops.copy()
+        bad[7, 1] = value
+        with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+            reference.fit_dephasing_rate(t, bad, NEAR)
+    # rounding-level strays, like those of a CSV written as 1 - p, still fit
+    near = pops.copy()
+    near[0] = [1.0 + 2.2e-16, -2.2e-16]
+    fit = reference.fit_dephasing_rate(t, near, NEAR)
+    assert abs(fit.gamma_deph_thz - 5.0) < 0.5
 
 
 def test_fit_reports_unbracketed_minimum():
