@@ -289,6 +289,8 @@ def _resolve_noise(cfg_noise: dict, h: model.SystemHamiltonian) -> noise.Fluctua
 
 
 def cmd_dephasing(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_config(args.config)
     h = resolve_hamiltonian(_section(cfg, "hamiltonian"))
     noise_cfg = _resolve_noise(_section(cfg, "noise"), h)
@@ -458,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dephasing", help="telegraph-noise ensemble CSV + Lindblad fit")
     add_common(p)
-    p.add_argument("--workers", type=int, default=1, help="parallel trajectory workers")
+    p.add_argument("--workers", type=int, default=1, help="parallel trajectory blocks (>= 1; at most one process per CPU)")
     p.set_defaults(func=cmd_dephasing)
 
     p = sub.add_parser("resources", help="qubit/gate resource report (JSON)")

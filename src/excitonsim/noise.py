@@ -13,7 +13,6 @@ results are bit-identical however runs are scheduled across workers.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,6 +242,42 @@ def _step_unitaries(
     return np.ascontiguousarray(amps[dim:].transpose(1, 0, 2))
 
 
+def _sign_patterns(
+    noise_cfg: FluctuatorConfig, ens: EnsembleConfig, run_indices: range
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Distinct sign patterns of a block of runs, and where each run uses them.
+
+    Returns ``patterns`` (P, n_sites * F) of +-1/2, site-major and sorted
+    lexicographically; ``pattern_index`` (runs, intervals), so that run k
+    holds ``patterns[pattern_index[k, i // interval]]`` at step i; and each
+    run's shot seed. Run r draws its interval bits from the first child of
+    SeedSequence([master_seed, r]) exactly as ``generate_interval_signs``
+    does, without expanding them to steps. Each interval's bits are packed
+    big-endian into bytes, and one packed row is one void item, so the 1-D
+    sort that finds the distinct items orders them as the sign rows would
+    sort, at any number of bits.
+    """
+    interval = noise_cfg.switch_interval_steps(ens.dt_fs)
+    n_intervals = -(-ens.n_steps // interval)
+    n_signs = noise_cfg.n_sites * noise_cfg.fluctuators_per_site
+    width = -(-n_signs // 8)
+    packed = np.empty((len(run_indices), n_intervals, width), dtype=np.uint8)
+    shot_seeds = []
+    for k, r in enumerate(run_indices):
+        traj_ss, shot_ss = np.random.SeedSequence([ens.master_seed, r]).spawn(2)
+        shot_seeds.append(shot_ss)
+        bits = np.random.default_rng(traj_ss).integers(
+            0, 2, size=(noise_cfg.n_sites, noise_cfg.fluctuators_per_site, max(n_intervals, 1))
+        )
+        packed[k] = np.packbits(bits.reshape(n_signs, -1)[:, :n_intervals].T, axis=1)
+    codes, inverse = np.unique(
+        packed.view(np.dtype((np.void, width))).reshape(-1), return_inverse=True
+    )
+    patterns = np.unpackbits(codes.view(np.uint8).reshape(-1, width), axis=1, count=n_signs) - 0.5
+    pattern_index = inverse.astype(np.int32).reshape(len(run_indices), n_intervals)
+    return patterns, pattern_index, shot_seeds
+
+
 def _run_frequencies(
     h: SystemHamiltonian,
     noise_cfg: FluctuatorConfig,
@@ -259,22 +294,8 @@ def _run_frequencies(
     """
     n_steps = ens.n_steps
     n_runs = len(run_indices)
-    # signs hold still within a switch interval, so one row per interval
     interval = noise_cfg.switch_interval_steps(ens.dt_fs)
-    n_intervals = -(-n_steps // interval)
-    n_signs = noise_cfg.n_sites * noise_cfg.fluctuators_per_site
-    sign_rows = np.empty((n_runs, n_intervals, n_signs))
-    shot_seeds = []
-    for k, r in enumerate(run_indices):
-        traj_ss, shot_ss = np.random.SeedSequence([ens.master_seed, r]).spawn(2)
-        shot_seeds.append(shot_ss)
-        signs = generate_trajectory(noise_cfg, n_steps, ens.dt_fs, traj_ss).signs
-        sign_rows[k] = signs[:, :, ::interval].reshape(n_signs, n_intervals).T
-    patterns, inverse = np.unique(
-        sign_rows.reshape(n_runs * n_intervals, n_signs), axis=0, return_inverse=True
-    )
-    del sign_rows
-    pattern_index = inverse.astype(np.int32).reshape(n_runs, n_intervals)
+    patterns, pattern_index, shot_seeds = _sign_patterns(noise_cfg, ens, run_indices)
     unitaries = _step_unitaries(h, noise_cfg, ens.dt_fs, patterns)
 
     states = np.zeros((n_runs, 1 << h.n_system_qubits), dtype=np.complex128)
@@ -310,18 +331,24 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Average shot frequencies over ens.runs independent trajectories.
 
-    ``workers > 1`` splits the runs into contiguous blocks, one per process,
-    and joins the blocks in run order. Per-run seeds are bound to the run
-    index, so the result does not depend on ``workers``.
+    ``workers > 1`` splits the runs into min(workers, runs) contiguous
+    blocks, runs them on a pool of at most ``os.cpu_count()`` processes and
+    joins them in run order. Per-run seeds are bound to the run index, so
+    the result does not depend on ``workers``; below 1 it is a ConfigError.
     """
     if noise_cfg.n_sites != h.n_sites:
         raise ConfigError("fluctuator configuration does not match the chain size")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     check_ensemble_memory(h.n_sites, ens)
-    n_blocks = max(1, min(workers, ens.runs))
+    n_blocks = min(workers, ens.runs)
     bounds = [ens.runs * b // n_blocks for b in range(n_blocks + 1)]
     blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if n_blocks > 1:
-        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
+        # imported here: the pool's modules cost start-up time a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(n_blocks, os.cpu_count() or 1)) as pool:
             freqs = list(
                 pool.map(
                     _run_frequencies,

@@ -37,6 +37,39 @@ POSITIVITY_TOL = -1e-8
 POPULATION_TOL = 1e-6
 
 
+def _density_problem(stack: np.ndarray) -> str | None:
+    """The first of the four checks that some matrix of the stack fails, or None."""
+    if not np.isfinite(stack).all():
+        return "has non-finite entries"
+    if not np.abs(stack - stack.conj().swapaxes(1, 2)).max() <= HERMITICITY_TOL:
+        return "is not Hermitian"
+    trace = stack.diagonal(axis1=1, axis2=2).sum(axis=1)
+    drift = np.abs(trace.real - 1.0)
+    if not drift.max() <= TRACE_TOL:
+        return f"has its trace drifted to {trace[np.argmax(drift)]!r}"
+    # every entry is finite here, as eigvalsh needs
+    if not np.linalg.eigvalsh(stack).min() >= POSITIVITY_TOL:
+        return "lost positivity"
+    return None
+
+
+def check_density_matrices(stack: np.ndarray, t_fs=None) -> None:
+    """NumericalValidationError unless every matrix of an (n_points, n, n)
+    stack is finite, Hermitian, of unit trace and (tolerantly) positive.
+
+    Each check runs once over the whole stack. The error names the first
+    failing point: by its time if ``t_fs`` (one per point) is given, else by
+    its index."""
+    if _density_problem(stack) is None:
+        return
+    for k in range(len(stack)):
+        problem = _density_problem(stack[k : k + 1])
+        if problem is not None:
+            break
+    where = f"point {k}" if t_fs is None else f"t = {float(t_fs[k])!r} fs"
+    raise NumericalValidationError(f"density matrix at {where} {problem}")
+
+
 @dataclass(eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, (tolerantly) positive matrix."""
@@ -47,15 +80,15 @@ class DensityMatrix:
         rho = np.asarray(self.matrix, dtype=np.complex128)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("density matrix must be square")
-        if not np.isfinite(rho).all():
-            raise NumericalValidationError("density matrix has non-finite entries")
-        if not np.abs(rho - rho.conj().T).max() <= HERMITICITY_TOL:
-            raise NumericalValidationError("density matrix is not Hermitian")
-        if not abs(np.trace(rho).real - 1.0) <= TRACE_TOL:
-            raise NumericalValidationError(f"trace drifted to {np.trace(rho)!r}")
-        if not np.linalg.eigvalsh(rho).min() >= POSITIVITY_TOL:
-            raise NumericalValidationError("density matrix lost positivity")
+        check_density_matrices(rho[None])
         self.matrix = rho
+
+    @classmethod
+    def _checked(cls, rho: np.ndarray) -> "DensityMatrix":
+        """Wrap a complex matrix that check_density_matrices has passed."""
+        out = cls.__new__(cls)
+        out.matrix = rho
+        return out
 
     @classmethod
     def site_excitation(cls, n_sites: int, site: int = 0) -> "DensityMatrix":
@@ -175,9 +208,10 @@ def lindblad_integrate(
 ) -> list[DensityMatrix]:
     """Density matrices on the grid; every output is invariant-checked."""
     t = np.asarray(t_grid_fs, dtype=np.float64)
-    vecs = _integrate_populations(model.liouvillian(), rho0.matrix, t, max_step_fs)
     n = model.h.n_sites
-    return [DensityMatrix(vec.reshape(n, n)) for vec in vecs]
+    stack = _integrate_populations(model.liouvillian(), rho0.matrix, t, max_step_fs).reshape(-1, n, n)
+    check_density_matrices(stack, t)
+    return [DensityMatrix._checked(rho) for rho in stack]
 
 
 def lindblad_populations(
@@ -195,9 +229,10 @@ def _site_populations(
     gen: np.ndarray, rho0: np.ndarray, t_grid_fs, max_step_fs: float
 ) -> np.ndarray:
     n = rho0.shape[0]
-    vecs = _integrate_populations(gen, rho0, np.asarray(t_grid_fs, float), max_step_fs)
-    DensityMatrix(vecs[-1].reshape(n, n))
-    return vecs.reshape(-1, n, n).diagonal(axis1=1, axis2=2).real
+    t = np.asarray(t_grid_fs, float)
+    stack = _integrate_populations(gen, rho0, t, max_step_fs).reshape(-1, n, n)
+    check_density_matrices(stack[-1:], t[-1:])
+    return stack.diagonal(axis1=1, axis2=2).real
 
 
 def exact_trajectory_series(

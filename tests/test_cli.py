@@ -3,6 +3,9 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -170,6 +173,35 @@ def test_reruns_and_worker_counts_are_byte_identical(tmp_path, capsys):
     ref = numeric_region(out1 / "dephasing.csv")
     assert numeric_region(out2 / "dephasing.csv") == ref
     assert numeric_region(out3 / "dephasing.csv") == ref
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_dephasing_rejects_workers_below_one_before_any_work(tmp_path, capsys, monkeypatch, workers):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the ensemble ran")
+
+    monkeypatch.setattr(cli.noise, "run_ensemble", no_work)
+    cfg = dephasing_config(tmp_path)
+    assert cli.main(["dephasing", "--config", cfg, "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "--workers" in err
+    assert not (tmp_path / "dephasing.csv").exists()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    import excitonsim
+
+    src = str(Path(excitonsim.__file__).resolve().parent.parent)
+    code = (
+        "import sys, excitonsim.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing', 'socket') "
+        "if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_output_dir_env_var(tmp_path, capsys, monkeypatch):

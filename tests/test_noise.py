@@ -203,3 +203,89 @@ def test_step_unitaries_match_per_column_circuit_runs():
     assert worst <= 1e-14
     gram = np.einsum("pki,pkj->pij", unitaries.conj(), unitaries)
     assert np.abs(gram - np.eye(dim)).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_sites, per_site, t_max_fs",
+    [
+        (2, 1, 120.0),  # 2 bits
+        (4, 2, 120.0),  # 8 bits, one full byte
+        (2, 40, 120.0),  # 80 bits, wider than any integer code
+        (2, 3, 102.0),  # 51 steps: the last interval is cut short
+        (2, 3, 0.0),  # no steps, no intervals
+    ],
+)
+def test_sign_patterns_match_generated_trajectories(n_sites, per_site, t_max_fs):
+    cfg = FluctuatorConfig.uniform(300.0, n_sites, 125.0, fluctuators_per_site=per_site)
+    ens = EnsembleConfig(runs=9, shots=10, dt_fs=2.0, t_max_fs=t_max_fs, master_seed=17)
+    runs = range(3, 12)
+    patterns, pattern_index, shot_seeds = noise._sign_patterns(cfg, ens, runs)
+    interval = cfg.switch_interval_steps(ens.dt_fs)
+    n_signs = n_sites * per_site
+    assert patterns.shape[1] == n_signs and pattern_index.dtype == np.int32
+    assert pattern_index.shape == (len(runs), -(-ens.n_steps // interval))
+
+    rows = []
+    for k, r in enumerate(runs):
+        traj_ss, shot_ss = np.random.SeedSequence([ens.master_seed, r]).spawn(2)
+        assert shot_seeds[k].spawn_key == shot_ss.spawn_key
+        signs = noise.generate_trajectory(cfg, ens.n_steps, ens.dt_fs, traj_ss).signs
+        for i in range(ens.n_steps):
+            assert np.array_equal(
+                patterns[pattern_index[k, i // interval]], signs[:, :, i].reshape(-1)
+            )
+        rows.append(signs[:, :, ::interval].reshape(n_signs, -1).T)
+    # the distinct sign rows, sorted as np.unique sorts them
+    expected, inverse = np.unique(
+        np.concatenate(rows).reshape(-1, n_signs), axis=0, return_inverse=True
+    )
+    assert np.array_equal(patterns, expected)
+    assert np.array_equal(pattern_index.reshape(-1), inverse.reshape(-1))
+
+
+def test_workers_below_one_rejected():
+    cfg = FluctuatorConfig.uniform(100.0, 2, 125.0)
+    ens = EnsembleConfig(runs=2, shots=10, dt_fs=2.0, t_max_fs=8.0, master_seed=0)
+    for workers in (0, -3):
+        with pytest.raises(ConfigError, match="workers"):
+            noise.run_ensemble(NEAR, cfg, ens, workers=workers)
+
+
+def test_pool_is_capped_at_the_cpu_count(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor and runs the blocks in-process."""
+
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.blocks = []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            for args in zip(*iterables):
+                self.blocks.append(args[-1])
+                yield fn(*args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(noise.os, "cpu_count", lambda: 2)
+    cfg = FluctuatorConfig.uniform(300.0, 2, 125.0)
+    ens = EnsembleConfig(runs=5, shots=50, dt_fs=2.0, t_max_fs=40.0, master_seed=8)
+    pooled = noise.run_ensemble(NEAR, cfg, ens, workers=1000)
+    assert [pool.max_workers for pool in pools] == [2]
+    assert pools[0].blocks == [range(r, r + 1) for r in range(5)]
+    serial = noise.run_ensemble(NEAR, cfg, ens, workers=1)
+    assert np.array_equal(pooled.p_mean, serial.p_mean)
+    assert np.array_equal(pooled.p_stderr, serial.p_stderr)
+
+    monkeypatch.setattr(noise.os, "cpu_count", lambda: None)
+    noise.run_ensemble(NEAR, cfg, ens, workers=3)
+    assert pools[-1].max_workers == 1 and len(pools[-1].blocks) == 3

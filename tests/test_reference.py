@@ -97,6 +97,57 @@ def test_lindblad_preserves_density_matrix_invariants():
         assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-8
 
 
+def valid_stack(n_points: int) -> np.ndarray:
+    t = np.linspace(0.0, 200.0, n_points)
+    series = reference.lindblad_integrate(
+        LindbladModel(NEAR, 10.0), DensityMatrix.site_excitation(2), t
+    )
+    return np.array([rho.matrix for rho in series])
+
+
+@pytest.mark.parametrize(
+    "check, broken, message",
+    [
+        ("finite", np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+        ("hermitian", np.array([[0.5, 0.1], [0.2, 0.5]]), "not Hermitian"),
+        ("trace", np.array([[0.7, 0.0], [0.0, 0.7]]), "trace drifted"),
+        ("positive", np.array([[1.5, 0.0], [0.0, -0.5]]), "lost positivity"),
+    ],
+)
+@pytest.mark.parametrize("k", [0, 7, 40])
+def test_stacked_density_check_names_the_first_failing_point(check, broken, message, k):
+    stack = valid_stack(41)
+    reference.check_density_matrices(stack)
+    stack[k] = broken
+    with pytest.raises(NumericalValidationError, match=rf"point {k} .*{message}"):
+        reference.check_density_matrices(stack)
+    stack[-1] = broken  # a later failure does not hide point k
+    with pytest.raises(NumericalValidationError, match=rf"point {k} "):
+        reference.check_density_matrices(stack)
+    t = np.arange(41) * 5.0
+    with pytest.raises(NumericalValidationError, match=f"t = {float(t[k])!r} fs"):
+        reference.check_density_matrices(stack, t)
+
+
+def test_lindblad_integrate_checks_every_point_in_one_call(monkeypatch):
+    calls = []
+    check = reference.check_density_matrices
+
+    def recording(stack, t_fs=None):
+        calls.append((stack.shape, None if t_fs is None else np.array(t_fs)))
+        check(stack, t_fs)
+
+    rho0 = DensityMatrix.site_excitation(2)
+    monkeypatch.setattr(reference, "check_density_matrices", recording)
+    t = np.arange(301) * 2.0
+    series = reference.lindblad_integrate(LindbladModel(NEAR, 10.0), rho0, t)
+    assert len(series) == 301
+    assert len(calls) == 1
+    assert calls[0][0] == (301, 2, 2) and np.array_equal(calls[0][1], t)
+    pops = np.array([rho.populations for rho in series])
+    assert np.array_equal(pops, reference.lindblad_populations(LindbladModel(NEAR, 10.0), t))
+
+
 @pytest.mark.parametrize("h", [NEAR, NON], ids=["near", "non"])
 def test_lindblad_relaxes_to_equal_populations(h):
     t = np.array([0.0, 2000.0])
