@@ -23,7 +23,6 @@ from excitonsim.qcore import (
     Gate,
     QuantumCircuit,
     StateVector,
-    apply_gate,
     run_circuit,
     sample_shots,
     site_probabilities,
@@ -31,7 +30,6 @@ from excitonsim.qcore import (
 from excitonsim.reference import (
     DensityMatrix,
     LindbladModel,
-    exact_trajectory_propagate,
     fit_dephasing_rate,
     lindblad_integrate,
 )
@@ -60,13 +58,11 @@ __all__ = [
     "Gate",
     "QuantumCircuit",
     "StateVector",
-    "apply_gate",
     "run_circuit",
     "sample_shots",
     "site_probabilities",
     "DensityMatrix",
     "LindbladModel",
-    "exact_trajectory_propagate",
     "fit_dephasing_rate",
     "lindblad_integrate",
 ]

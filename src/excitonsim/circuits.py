@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from excitonsim.errors import NumericalValidationError
 from excitonsim.model import PHASE_PER_CM1_FS, SystemHamiltonian, mixing_angle
-from excitonsim.qcore import Gate, GateKind, QuantumCircuit
+from excitonsim.qcore import NORM_TOL, Gate, GateKind, QuantumCircuit, _execute_packed, _site_probs
 
 SIGN_VALUES = (0.5, -0.5)
 
@@ -34,13 +35,13 @@ def _selective_phase_gates(values_cm1, scale, system_qubits, ancilla):
     return gates
 
 
-def _coherent_gates(h: SystemHamiltonian, t_fs: float):
+def _coherent_gates(h: SystemHamiltonian, t_fs):
     decomp = h.eigensystem
     energies = decomp.energies_cm1 - decomp.energies_cm1.mean()
     n_sys = h.n_system_qubits
     system = tuple(range(n_sys))
     ancilla = n_sys
-    scale = PHASE_PER_CM1_FS * t_fs
+    scale = PHASE_PER_CM1_FS * np.asarray(t_fs, dtype=np.float64)
     gates = []
     if h.n_sites == 2:
         theta = mixing_angle(h)
@@ -55,11 +56,36 @@ def _coherent_gates(h: SystemHamiltonian, t_fs: float):
     return gates
 
 
-def build_coherent_circuit(h: SystemHamiltonian, t_fs: float) -> QuantumCircuit:
-    """Evolution circuit for time t_fs; run on |0..0>_sys (x) |1>_anc."""
-    if t_fs < 0:
+def build_coherent_circuit(h: SystemHamiltonian, t_fs) -> QuantumCircuit:
+    """Evolution circuit for time t_fs; run on |0..0>_sys (x) |1>_anc.
+
+    A (P,) vector of times gives (P,) controlled-RotZ angles, one per time,
+    for a time-batched register (``coherent_site_populations``)."""
+    if (np.asarray(t_fs) < 0).any():
         raise ValueError("t_fs must be non-negative")
     return QuantumCircuit(h.n_system_qubits + 1, _coherent_gates(h, t_fs))
+
+
+def coherent_site_populations(h: SystemHamiltonian, t_grid_fs) -> np.ndarray:
+    """Site populations of the coherent circuit at each time, (P, n_sites).
+
+    The circuit over the whole grid runs once on a (2D, P) block whose
+    ancilla-|1> half starts at |0..0>_sys. As for a StateVector, each column's
+    norm^2 must be finite and within NORM_TOL of 1; the error names its time."""
+    t = np.atleast_1d(np.asarray(t_grid_fs, dtype=np.float64))
+    circuit = build_coherent_circuit(h, t)
+    n_sys = h.n_system_qubits
+    amps = np.zeros((2 << n_sys, t.size), dtype=np.complex128)
+    amps[1 << n_sys] = 1.0
+    probs = _site_probs(_execute_packed(amps, n_sys + 1, circuit.packed()), n_sys)
+    norm2 = probs.sum(axis=0)
+    drifted = np.flatnonzero(~(np.abs(norm2 - 1.0) <= NORM_TOL))
+    if drifted.size:
+        k = drifted[0]
+        raise NumericalValidationError(
+            f"coherent state at t = {float(t[k])!r} fs: norm^2 drifted to {float(norm2[k])!r}"
+        )
+    return probs.T
 
 
 def build_iteration_circuit(
@@ -112,17 +138,3 @@ def gate_count(circuit: QuantumCircuit) -> dict[str, int]:
         counts[gate.kind.value] += 1
     return counts
 
-
-def circuit_records(circuit: QuantumCircuit) -> list[dict]:
-    """JSON-ready dump; qubits lists controls first, then targets."""
-    records = []
-    for gate in circuit.gates:
-        rec = {
-            "kind": gate.kind.value,
-            "qubits": list(gate.controls) + list(gate.targets),
-            "angle": gate.angle,
-        }
-        if gate.matrix is not None:
-            rec["matrix"] = [[[z.real, z.imag] for z in row] for row in gate.matrix]
-        records.append(rec)
-    return records

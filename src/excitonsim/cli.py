@@ -225,10 +225,6 @@ def read_csv(path: str):
     return config, columns, np.asarray(data, dtype=np.float64).reshape(-1, len(columns))
 
 
-def _shot_seed(master_seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
-
-
 def cmd_coherent(args) -> int:
     cfg = load_config(args.config)
     h = resolve_hamiltonian(_section(cfg, "hamiltonian"))
@@ -244,30 +240,27 @@ def cmd_coherent(args) -> int:
     if seed < 0:
         raise ConfigError("master_seed must be non-negative")
     n = noise.exact_steps(t_max, step, "t_max_fs")
+    columns = ["t_fs", "p0_analytic", "p1_analytic", "p0_circuit", "p1_circuit"]
+    if shots > 0:
+        columns += ["p0_sampled", "p1_sampled"]
+    # per time point: the circuit's complex128 amplitudes and the float64 output columns
+    need = (n + 1) * (16 * (2 << h.n_system_qubits) + 8 * len(columns))
+    noise.check_memory(need, f"t_max_fs / step_fs gives {n + 1} time points")
     path = _output_path(cfg, args, "coherent.csv")
     t_grid = np.arange(n + 1) * step
 
     p0_a, p1_a = model.analytic_populations(h, t_grid)
-    anc = h.n_system_qubits
-    initial = qcore.StateVector.basis_state(anc + 1, 1 << anc)
-    rows = []
-    for i, t in enumerate(t_grid):
-        state = qcore.run_circuit(circuits.build_coherent_circuit(h, t), initial)
-        pc = qcore.site_probabilities(state, range(h.n_system_qubits))
-        row = [t, p0_a[i], p1_a[i], pc[0], pc[1]]
-        if shots > 0:
-            counts = qcore.sample_shots(pc, shots, _shot_seed(seed, i))
-            row += [counts[0] / shots, counts[1] / shots]
-        rows.append(row)
-
-    columns = ["t_fs", "p0_analytic", "p1_analytic", "p0_circuit", "p1_circuit"]
+    pc = circuits.coherent_site_populations(h, t_grid)
+    data = [t_grid, p0_a, p1_a, pc[:, 0], pc[:, 1]]
     if shots > 0:
-        columns += ["p0_sampled", "p1_sampled"]
+        counts = qcore.sample_shots(pc, shots, seed)
+        data += [counts[:, 0] / shots, counts[:, 1] / shots]
+
     echo = {
         "hamiltonian": _hamiltonian_echo(h),
         "ensemble": {"t_max_fs": t_max, "step_fs": step, "shots": shots, "master_seed": seed},
     }
-    write_csv(path, columns, rows, echo)
+    write_csv(path, columns, np.column_stack(data), echo)
     print(path)
     return 0
 
@@ -304,8 +297,7 @@ def cmd_dephasing(args) -> int:
         master_seed=seed,
     )
     # surface what would fail the ensemble or the fit before doing any work
-    noise_cfg.switch_interval_steps(ens.dt_fs)
-    noise.check_ensemble_memory(h.n_sites, ens)
+    noise.check_ensemble_memory(noise_cfg, ens)
     try:
         period = model.beating_period(h)
     except ValueError as exc:

@@ -246,6 +246,10 @@ def estimate_resources(
         raise ValueError("dt_fs must be positive")
     if t_fs < 0:
         raise ValueError("t_fs must be non-negative")
+    if not math.isfinite(t_fs / dt_fs):
+        raise ValueError(
+            f"t_fs={t_fs} over dt_fs={dt_fs} does not give a finite iteration count"
+        )
     iterations = int(round(t_fs / dt_fs))
     if abs(iterations * dt_fs - t_fs) > 1e-9 * max(t_fs, dt_fs):
         raise ValueError(f"t_fs={t_fs} is not a multiple of dt_fs={dt_fs}")

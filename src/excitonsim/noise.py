@@ -12,6 +12,7 @@ results are bit-identical however runs are scheduled across workers.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -36,19 +37,39 @@ def _physical_memory_bytes() -> int:
         return np.iinfo(np.intp).max
 
 
-def check_ensemble_memory(n_sites: int, ens: "EnsembleConfig") -> None:
-    """ConfigError if the per-run shot frequencies alone, float64 of shape
-    (runs, n_steps + 1, n_sites), would not fit in physical memory."""
-    need = ens.runs * (ens.n_steps + 1) * n_sites * 8
+def check_memory(need: int, what: str) -> None:
+    """ConfigError if ``need`` bytes for ``what`` would not fit in physical memory."""
     have = _physical_memory_bytes()
     if need > have:
         raise ConfigError(
-            f"runs={ens.runs} needs {need / 2**30:.3g} GiB for the per-run "
-            f"frequencies, more than the {have / 2**30:.3g} GiB of memory"
+            f"{what}: {need / 2**30:.3g} GiB needed, more than the {have / 2**30:.3g} GiB of memory"
         )
 
 
+def check_ensemble_memory(noise_cfg: "FluctuatorConfig", ens: "EnsembleConfig") -> None:
+    """ConfigError if the ensemble's largest arrays would not fit in physical
+    memory: the per-run shot frequencies, float64 of shape (runs, n_steps + 1,
+    n_sites), one run's sign bits, int64 of shape (n_sites, F, intervals),
+    and the packed sign patterns of all runs, one bit per sign and interval."""
+    n_signs = noise_cfg.n_sites * noise_cfg.fluctuators_per_site
+    n_intervals = max(-(-ens.n_steps // noise_cfg.switch_interval_steps(ens.dt_fs)), 1)
+    need = (
+        ens.runs * (ens.n_steps + 1) * noise_cfg.n_sites * 8
+        + n_signs * n_intervals * 8
+        + ens.runs * n_intervals * -(-n_signs // 8)
+    )
+    check_memory(
+        need,
+        f"runs={ens.runs} with {noise_cfg.fluctuators_per_site} fluctuators per site "
+        "(per-run frequencies and sign patterns)",
+    )
+
+
 def exact_steps(span: float, step: float, what: str) -> int:
+    if not math.isfinite(span / step):
+        raise ConfigError(
+            f"{what}: {span} over a step of {step} does not give a finite step count"
+        )
     n = int(round(span / step))
     if n < 0 or abs(n * step - span) > _DIVISIBILITY_RTOL * max(abs(span), step):
         raise ConfigError(f"{what}: {span} is not an integer multiple of {step}")
@@ -99,6 +120,11 @@ class FluctuatorConfig:
         if dt_fs <= 0:
             raise ConfigError("dt_fs must be positive")
         waiting = self.waiting_time_fs
+        if not math.isfinite(waiting / dt_fs):
+            raise ConfigError(
+                f"the fluctuator waiting time {waiting} fs over dt_fs={dt_fs} "
+                "does not give a finite step count"
+            )
         steps = int(round(waiting / dt_fs))
         if steps < 1 or abs(steps * dt_fs - waiting) > _DIVISIBILITY_RTOL * max(waiting, dt_fs):
             raise ConfigError(
@@ -340,7 +366,7 @@ def run_ensemble(
         raise ConfigError("fluctuator configuration does not match the chain size")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    check_ensemble_memory(h.n_sites, ens)
+    check_ensemble_memory(noise_cfg, ens)
     n_blocks = min(workers, ens.runs)
     bounds = [ens.runs * b // n_blocks for b in range(n_blocks + 1)]
     blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

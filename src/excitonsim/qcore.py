@@ -1,10 +1,10 @@
 """Statevector simulation for small qubit registers.
 
 Dense complex128 column vectors; basis index carries qubit 0 as the least
-significant bit, so ``|q1 q0>`` has index ``(q1 << 1) | q0``. Everything is
-value-semantic: gates and circuits are immutable after construction and
-application functions return fresh states, which makes the whole module
-re-entrant and safe to drive from concurrent trajectory workers.
+significant bit, so ``|q1 q0>`` has index ``(q1 << 1) | q0``. Gates and
+circuits are immutable. ``_execute_packed`` runs a circuit on a register
+shaped (2^n, *batch), one column per sign pattern or time point;
+``run_circuit`` runs one state and is the tests' per-column oracle.
 
 Rotation conventions (fixed; all circuit builders rely on them):
 
@@ -27,7 +27,6 @@ import numpy as np
 from excitonsim.errors import NumericalValidationError
 
 NORM_TOL = 1e-9
-GATE_NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
 
 # packed op codes
@@ -123,19 +122,15 @@ class QuantumCircuit:
             raise ValueError("need at least one qubit")
         self.gates = tuple(self.gates)
         for gate in self.gates:
-            _check_indices(gate, self.num_qubits)
+            for q in gate.targets + gate.controls:
+                if q >= self.num_qubits:
+                    raise ValueError(f"qubit {q} out of range for {self.num_qubits}-qubit register")
 
     def packed(self) -> list:
         """Kernel-ready segments, computed once and cached."""
         if self._packed is None:
             self._packed = _pack(self.gates)
         return self._packed
-
-
-def _check_indices(gate: Gate, num_qubits: int) -> None:
-    for q in gate.targets + gate.controls:
-        if q >= num_qubits:
-            raise ValueError(f"qubit {q} out of range for {num_qubits}-qubit register")
 
 
 def _control_mask(gate: Gate) -> int:
@@ -267,9 +262,9 @@ def _apply_dense(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...])
 
 
 def _site_probs(amps: np.ndarray, n_system_qubits: int) -> np.ndarray:
-    """Marginal probabilities of the low ``n_system_qubits`` qubits."""
+    """Marginal probabilities of the low ``n_system_qubits`` qubits, per batch column."""
     p = amps.real**2 + amps.imag**2
-    return p.reshape(-1, 1 << n_system_qubits).sum(axis=0)
+    return p.reshape(-1, 1 << n_system_qubits, *amps.shape[1:]).sum(axis=0)
 
 
 def _execute_packed(amps: np.ndarray, num_qubits: int, segments: list) -> np.ndarray:
@@ -304,44 +299,18 @@ class StateVector:
         self.amplitudes = amps
 
     @classmethod
-    def zero_state(cls, num_qubits: int) -> "StateVector":
-        return cls.basis_state(num_qubits, 0)
-
-    @classmethod
     def basis_state(cls, num_qubits: int, index: int) -> "StateVector":
         amps = np.zeros(1 << num_qubits, dtype=np.complex128)
         amps[index] = 1.0
         return cls(num_qubits, amps)
-
-    def probability(self, index: int) -> float:
-        return float(abs(self.amplitudes[index]) ** 2)
-
-
-def _check_single_pattern(gates) -> None:
-    if any(isinstance(gate.angle, np.ndarray) for gate in gates):
-        raise ValueError("a gate with one angle per sign pattern needs a pattern-batched register")
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Return gate * state; the input state is untouched."""
-    _check_indices(gate, state.num_qubits)
-    _check_single_pattern((gate,))
-    amps = state.amplitudes.copy()
-    amps = _execute_packed(amps, state.num_qubits, _pack((gate,)))
-    norm2 = float(np.vdot(amps, amps).real)
-    if not abs(norm2 - 1.0) <= GATE_NORM_TOL:
-        raise NumericalValidationError(f"gate application drifted norm^2 to {norm2!r}")
-    out = StateVector.__new__(StateVector)
-    out.num_qubits = state.num_qubits
-    out.amplitudes = amps
-    return out
 
 
 def run_circuit(circuit: QuantumCircuit, initial: StateVector) -> StateVector:
     """Apply all gates in order. Deterministic; validates the final norm."""
     if circuit.num_qubits != initial.num_qubits:
         raise ValueError("circuit and state sizes differ")
-    _check_single_pattern(circuit.gates)
+    if any(isinstance(gate.angle, np.ndarray) for gate in circuit.gates):
+        raise ValueError("a gate with one angle per sign pattern or time needs a batched register")
     amps = initial.amplitudes.copy()
     amps = _execute_packed(amps, circuit.num_qubits, circuit.packed())
     return StateVector(circuit.num_qubits, amps)
@@ -372,15 +341,17 @@ def site_probabilities(state: StateVector, system_qubits) -> np.ndarray:
 
 
 def sample_shots(probabilities, shots: int, rng_seed) -> np.ndarray:
-    """Multinomial counts over outcomes; pure function of (p, shots, seed)."""
+    """Multinomial counts over outcomes; pure function of (p, shots, seed).
+    A (P, k) stack of distributions gives (P, k) counts from one stream."""
     p = np.asarray(probabilities, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probabilities must be a non-empty 1-d array")
+    if p.ndim not in (1, 2) or p.size == 0:
+        raise ValueError("probabilities must be a non-empty 1-d array or a 2-d stack of rows")
     if (p < 0).any():
         raise ValueError("negative probability")
-    total = p.sum()
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    total = p.sum(axis=-1, keepdims=True)
+    drift = np.abs(total - 1.0)
+    if not (drift <= NORM_TOL).all():
+        raise ValueError(f"probabilities sum to {float(total.flat[np.argmax(drift)])!r}, not 1")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(rng_seed)

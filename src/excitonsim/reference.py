@@ -2,9 +2,10 @@
 
 Three independent routes:
 
-* exact_trajectory_propagate: for a fixed telegraph-noise trajectory the
-  total Hamiltonian is constant within each waiting interval, so the exact
-  propagator is a product of dense matrix exponentials (no Trotter error).
+* exact_trajectory_series: for a fixed telegraph-noise trajectory the
+  total Hamiltonian is constant within each step, so the exact populations
+  on the iteration grid follow from products of dense matrix exponentials
+  (no Trotter error).
 * lindblad_integrate: pure-dephasing master equation with one projector
   jump operator per site and a single rate gamma_deph, integrated by
   classical fixed-step RK4 on the vectorized generator. Because the
@@ -271,19 +272,6 @@ def exact_trajectory_series(
         psi = u @ psi
         out[i + 1] = np.abs(psi) ** 2
     return out
-
-
-def exact_trajectory_propagate(
-    h: SystemHamiltonian,
-    trajectory: FluctuatorTrajectory,
-    dt_fs: float,
-    t_fs: float,
-) -> np.ndarray:
-    """Populations at time t_fs (a point on the iteration grid)."""
-    steps = int(round(t_fs / dt_fs))
-    if abs(steps * dt_fs - t_fs) > 1e-9 * max(t_fs, dt_fs):
-        raise ValueError(f"t_fs={t_fs} is not on the dt={dt_fs} grid")
-    return exact_trajectory_series(h, trajectory, dt_fs, steps)[-1]
 
 
 @dataclass(frozen=True)

@@ -181,8 +181,8 @@ def test_multi_fluctuator_signs_accepted():
 
 
 def test_circuit_records_dump():
-    records = circuits.circuit_records(circuits.build_coherent_circuit(NEAR, 10.0))
-    assert [r["kind"] for r in records] == [
+    gates = circuits.build_coherent_circuit(NEAR, 10.0).gates
+    assert [g.kind.value for g in gates] == [
         "RotY",
         "PauliX",
         "ControlledRotZ",
@@ -190,13 +190,32 @@ def test_circuit_records_dump():
         "ControlledRotZ",
         "RotY",
     ]
-    crz = records[2]
-    assert crz["qubits"] == [0, 1]
-    assert crz["angle"] == pytest.approx(-math.sqrt(73504.0) * K * 10.0)
-    assert records[0]["angle"] == pytest.approx(-records[-1]["angle"])
-    import json
+    crz = gates[2]
+    assert crz.controls + crz.targets == (0, 1)
+    assert crz.angle == pytest.approx(-math.sqrt(73504.0) * K * 10.0)
+    assert gates[0].angle == pytest.approx(-gates[-1].angle)
 
-    json.dumps(records)  # must be serializable
+
+def _chain4():
+    j = np.diag(np.full(3, 126.0), 1)
+    return SystemHamiltonian(np.array([13000.0, 12900.0, 13000.0, 12900.0]), j + j.T)
+
+
+@pytest.mark.parametrize(
+    "h, step", [(NEAR, 1.5), (NEAR, 0.25), (NON, 1.5), (NON, 0.25), (_chain4(), 1.5)],
+    ids=["near-1.5", "near-0.25", "non-1.5", "non-0.25", "chain4-1.5"],
+)
+def test_batched_coherent_columns_equal_per_time_runs(h, step):
+    """The whole 600-fs grid runs as one batch; every sixth time is checked
+    against its own single-state run."""
+    t = np.arange(int(round(600.0 / step)) + 1) * step
+    batched = circuits.coherent_site_populations(h, t)
+    assert batched.shape == (t.size, h.n_sites)
+    n_sys = h.n_system_qubits
+    init = qcore.StateVector.basis_state(n_sys + 1, 1 << n_sys)
+    for k in range(0, t.size, 6):
+        state = qcore.run_circuit(circuits.build_coherent_circuit(h, t[k]), init)
+        assert np.array_equal(batched[k], qcore.site_probabilities(state, range(n_sys)))
 
 
 @pytest.mark.parametrize("n_sites,n_fluct", [(2, 1), (2, 3), (4, 1), (4, 2)])

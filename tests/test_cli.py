@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from excitonsim import cli, reference
+from excitonsim import circuits, cli, reference
 
 K = 2.0 * math.pi * 2.99792458e-5
 
@@ -376,6 +376,54 @@ def test_coherent_rejects_step_that_does_not_divide_horizon(tmp_path, capsys):
     assert data[:, 0].tolist() == [0.0, 5.0, 10.0]
 
 
+def test_coherent_rejects_a_grid_too_large_for_memory(tmp_path, capsys):
+    payload = json.loads(Path(coherent_config(tmp_path, t_max_fs=1e15, step_fs=1.0)).read_text())
+    payload["output"]["directory"] = str(tmp_path / "out")
+    cfg = write_config(tmp_path, payload)
+    assert cli.main(["coherent", "--config", cfg]) == 2
+    assert "time points" in assert_one_line_error(capsys, "config error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_coherent_norm_drift_is_a_numerical_failure_naming_the_time(tmp_path, capsys, monkeypatch):
+    execute = circuits._execute_packed
+
+    def drifting(amps, num_qubits, segments):
+        out = execute(amps, num_qubits, segments)
+        out[:, 7] *= 1.001  # the column of t = 35 fs
+        return out
+
+    monkeypatch.setattr(circuits, "_execute_packed", drifting)
+    cfg = coherent_config(tmp_path, shots=100)
+    assert cli.main(["coherent", "--config", cfg]) == 3
+    assert "t = 35.0 fs" in assert_one_line_error(capsys, "numerical validation failure:")
+    assert not (tmp_path / "coherent.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, settings",
+    [
+        ("coherent", {"t_max_fs": 1e300, "step_fs": 1e-10}),
+        ("dephasing", {"dt_fs": 1e-320}),
+        ("dephasing", {"dt_fs": 1e-320, "t_max_fs": 0.0}),
+        ("dephasing", {"dt_fs": 1e-10, "t_max_fs": 1e300}),
+        ("resources", ["--t-fs", "1e300", "--dt-fs", "1e-10"]),
+        ("resources", ["--gamma-thz", "1e-320"]),
+    ],
+    ids=["coherent", "dephasing-dt", "dephasing-interval", "dephasing-horizon", "resources-t", "resources-gamma"],
+)
+def test_step_counts_beyond_a_float_are_config_errors(tmp_path, capsys, command, settings):
+    if command == "coherent":
+        argv = ["--config", coherent_config(tmp_path, **settings)]
+    elif command == "dephasing":
+        argv = ["--config", dephasing_config(tmp_path, ensemble=settings)]
+    else:
+        argv = ["--n-sites", "2"] + settings
+    assert cli.main([command] + argv) == 2
+    assert "finite" in assert_one_line_error(capsys, "config error:")
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
 def fit_csv(tmp_path: Path, rows) -> str:
     lines = ['# config = {"hamiltonian": {"preset": "near_resonant"}}', "t_fs,p0_mean,p1_mean"]
     lines += [",".join(str(cell) for cell in row) for row in rows]
@@ -587,12 +635,12 @@ _FIELD_VALUES = {
 
 
 @st.composite
-def _coherent_configs(draw):
-    """A valid coherent config with up to three fields replaced or deleted."""
-    config = json.loads(json.dumps(_VALID_COHERENT))
+def _configs(draw, valid, field_values):
+    """A valid config with up to three fields replaced or deleted."""
+    config = json.loads(json.dumps(valid))
     for _ in range(draw(st.integers(0, 3))):
-        path = draw(st.sampled_from(sorted(_FIELD_VALUES)))
-        value = draw(st.one_of(st.just(_DELETE), _FIELD_VALUES[path]))
+        path = draw(st.sampled_from(sorted(field_values)))
+        value = draw(st.one_of(st.just(_DELETE), field_values[path]))
         *parents, key = path
         node = config
         for name in parents:
@@ -612,11 +660,13 @@ def _coherent_configs(draw):
     derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
-@given(config=_coherent_configs(), seed=st.sampled_from([None, 0, -1, 2**80]))
+@given(config=_configs(_VALID_COHERENT, _FIELD_VALUES), seed=st.sampled_from([None, 0, -1, 2**80]))
 @example(config=dict(_VALID_COHERENT, output=5), seed=None)
 @example(config=dict(_VALID_COHERENT, output={"directory": "taken"}), seed=None)
 @example(config=_VALID_COHERENT, seed=-1)
 @example(config=dict(_VALID_COHERENT, hamiltonian={"matrix": [[1.7e-221, 0.0], [0.0, 0.0]]}), seed=None)
+@example(config=dict(_VALID_COHERENT, ensemble={"t_max_fs": 1e300, "step_fs": 1e-10}), seed=None)
+@example(config=dict(_VALID_COHERENT, ensemble={"t_max_fs": 1e15, "step_fs": 1.0}), seed=None)
 def test_fuzzed_coherent_configs_exit_cleanly(tmp_path, capsys, monkeypatch, config, seed):
     monkeypatch.delenv(cli.ENV_OUTPUT_DIR, raising=False)
     monkeypatch.chdir(tmp_path)
@@ -727,6 +777,80 @@ def test_fuzzed_fit_inputs_exit_cleanly(tmp_path, capsys, monkeypatch, lines, pr
     path = tmp_path / "series.csv"
     path.write_text("\n".join(lines) + "\n")
     argv = ["fit", str(path)] + (["--preset", preset] if preset else []) + (["--out", out] if out else [])
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert err.count("\n") <= 1 and "Traceback" not in err, err
+
+
+_VALID_DEPHASING = {
+    "hamiltonian": {"preset": "near_resonant"},
+    "noise": {"strength_cm1": 300.0, "switching_rate_thz": 125.0, "fluctuators_per_site": 1},
+    "ensemble": {"runs": 2, "shots": 10, "dt_fs": 2.0, "t_max_fs": 260.0, "master_seed": 7},
+    "output": {"directory": "out", "basename": "run.csv"},
+}
+# as for coherent: edge values, then any JSON value; an accepted ensemble
+# stays at most 4 runs of at most 300 steps
+_DEPHASING_FIELD_VALUES = {
+    **{path: values for path, values in _FIELD_VALUES.items() if path[0] != "ensemble"},
+    ("noise",): _json_values(),
+    ("noise", "strength_cm1"): st.one_of(
+        st.sampled_from([0.0, 1000.0, -1.0, 1e300, [300.0, 100.0], [300.0], [1.0, 2.0, 3.0]]),
+        _json_values(),
+    ),
+    ("noise", "switching_rate_thz"): st.one_of(
+        st.sampled_from([250.0, 62.5, 0.0, -1.0, 1e-320, 1e300]), _non_numbers()
+    ),
+    ("noise", "fluctuators_per_site"): st.one_of(
+        st.sampled_from([2, 3, 0, -1, 2**62, 2**80]), _json_values()
+    ),
+    ("ensemble",): _json_values(),
+    ("ensemble", "runs"): st.one_of(st.sampled_from([1, 4, 0, -1, 10**15, 2**80]), _json_values()),
+    ("ensemble", "shots"): st.one_of(st.sampled_from([1, 0, -1, 2**63 - 1, 2**63, 2**80]), _json_values()),
+    ("ensemble", "dt_fs"): st.one_of(
+        st.sampled_from([4.0, 1.0, 3.0, 0.0, -2.0, 1e-320, 1e-10]), _non_numbers()
+    ),
+    ("ensemble", "t_max_fs"): st.one_of(
+        st.sampled_from([300.0, 100.0, 0.0, 261.0, -2.0, 1e300]), _non_numbers()
+    ),
+    ("ensemble", "master_seed"): _FIELD_VALUES[("ensemble", "master_seed")],
+}
+
+
+def _with_ensemble(**settings):
+    return dict(_VALID_DEPHASING, ensemble=dict(_VALID_DEPHASING["ensemble"], **settings))
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    config=_configs(_VALID_DEPHASING, _DEPHASING_FIELD_VALUES),
+    seed=st.sampled_from([None, 0, -1, 2**80]),
+    workers=st.sampled_from([None, "1", "0"]),
+)
+@example(config=_with_ensemble(dt_fs=1e-320), seed=None, workers=None)
+@example(config=_with_ensemble(dt_fs=1e-320, t_max_fs=0.0), seed=None, workers=None)
+@example(config=_with_ensemble(dt_fs=1e-10, t_max_fs=1e300), seed=None, workers=None)
+@example(
+    config=dict(_VALID_DEPHASING, noise=dict(_VALID_DEPHASING["noise"], fluctuators_per_site=2**62)),
+    seed=None,
+    workers=None,
+)
+def test_fuzzed_dephasing_configs_exit_cleanly(tmp_path, capsys, monkeypatch, config, seed, workers):
+    monkeypatch.delenv(cli.ENV_OUTPUT_DIR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    if not (tmp_path / "taken").exists():
+        (tmp_path / "taken").write_text("")
+    path = write_config(tmp_path, config)
+    argv = ["dephasing", "--config", path]
+    argv += ([] if seed is None else ["--seed", str(seed)]) + ([] if workers is None else ["--workers", workers])
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")

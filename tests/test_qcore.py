@@ -26,9 +26,13 @@ def closed_form_p1(t_fs: float) -> float:
     return AMP_NEAR * math.sin(0.5 * OMEGA_NEAR * K * t_fs) ** 2
 
 
+def _apply(gate: Gate, state: StateVector) -> StateVector:
+    return qcore.run_circuit(QuantumCircuit(state.num_qubits, (gate,)), state)
+
+
 def test_pauli_x_flips_basis_state():
-    state = StateVector.zero_state(1)
-    flipped = qcore.apply_gate(state, Gate.x(0))
+    state = StateVector.basis_state(1, 0)
+    flipped = _apply(Gate.x(0), state)
     assert flipped.amplitudes[0] == 0
     assert flipped.amplitudes[1] == 1
 
@@ -36,10 +40,10 @@ def test_pauli_x_flips_basis_state():
 def test_rotz_convention_on_one_state():
     state = StateVector.basis_state(1, 1)
     phi = 0.7321
-    rotated = qcore.apply_gate(state, Gate.rz(phi, 0))
+    rotated = _apply(Gate.rz(phi, 0), state)
     assert rotated.amplitudes[1] == pytest.approx(np.exp(0.5j * phi), abs=1e-15)
-    state0 = StateVector.zero_state(1)
-    rotated0 = qcore.apply_gate(state0, Gate.rz(phi, 0))
+    state0 = StateVector.basis_state(1, 0)
+    rotated0 = _apply(Gate.rz(phi, 0), state0)
     assert rotated0.amplitudes[0] == pytest.approx(np.exp(-0.5j * phi), abs=1e-15)
 
 
@@ -47,7 +51,7 @@ def test_roty_matrix_convention():
     theta = 1.234
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     for col, basis in enumerate((StateVector.basis_state(1, 0), StateVector.basis_state(1, 1))):
-        out = qcore.apply_gate(basis, Gate.ry(theta, 0)).amplitudes
+        out = _apply(Gate.ry(theta, 0), basis).amplitudes
         expected = np.array([[c, -s], [s, c]])[:, col]
         assert np.abs(out - expected).max() < 1e-15
 
@@ -66,7 +70,7 @@ def test_crz_phase_kickback_matches_dense_oracle():
 
     state = StateVector.basis_state(2, 2)  # |0>_sys (x) |1>_anc
     for gate in (Gate.x(0), Gate.crz(phi, 0, 1), Gate.x(0)):
-        state = qcore.apply_gate(state, gate)
+        state = _apply(gate, state)
     expected = oracle @ np.array([0, 0, 1, 0], dtype=complex)
     assert np.abs(state.amplitudes - expected).max() < 1e-14
     assert state.amplitudes[2] == pytest.approx(np.exp(-1j * e0 * dt), abs=1e-12)
@@ -80,7 +84,7 @@ def test_run_circuit_empty_is_identity():
 
 def test_run_circuit_double_x_is_identity():
     circuit = QuantumCircuit(1, (Gate.x(0), Gate.x(0)))
-    out = qcore.run_circuit(circuit, StateVector.zero_state(1))
+    out = qcore.run_circuit(circuit, StateVector.basis_state(1, 0))
     assert np.abs(out.amplitudes - [1, 0]).max() < 1e-15
 
 
@@ -153,12 +157,31 @@ def test_sample_shots_rejects_bad_input():
         qcore.sample_shots([0.5, 0.5], 0, rng_seed=0)
 
 
+def test_sample_shots_on_a_stack_of_rows():
+    # one distribution gives the same counts as before stacks were accepted
+    assert qcore.sample_shots([0.3, 0.7], 1000, rng_seed=5).tolist() == [314, 686]
+    assert qcore.sample_shots([0.25, 0.25, 0.5], 12345, rng_seed=2**80).tolist() == [3103, 3110, 6132]
+    rows = np.array([[0.3, 0.7], [1.0, 0.0], [0.5, 0.5], [0.864, 0.136]])
+    counts = qcore.sample_shots(rows, 1000, rng_seed=5)
+    assert counts.shape == rows.shape
+    assert (counts.sum(axis=1) == 1000).all()
+    assert counts[1].tolist() == [1000, 0]
+    assert np.array_equal(counts, qcore.sample_shots(rows, 1000, rng_seed=5))
+    for bad in ([0.6, 0.6], [-0.1, 1.1], [np.nan, 1.0]):
+        stack = rows.copy()
+        stack[2] = bad
+        with pytest.raises(ValueError):
+            qcore.sample_shots(stack, 10, rng_seed=0)
+    with pytest.raises(ValueError):
+        qcore.sample_shots(rows[None], 10, rng_seed=0)
+
+
 def _gate_matrix(gate: Gate, num_qubits: int) -> np.ndarray:
     dim = 1 << num_qubits
     cols = []
     for index in range(dim):
         state = StateVector.basis_state(num_qubits, index)
-        cols.append(qcore.apply_gate(state, gate).amplitudes)
+        cols.append(_apply(gate, state).amplitudes)
     return np.stack(cols, axis=1)
 
 
@@ -210,9 +233,9 @@ def test_gate_validation_errors():
         Gate.crz(0.1, 1, 1)  # control == target
     with pytest.raises(ValueError):
         Gate.dense(np.array([[1.0, 0.0], [1.0, 1.0]]), (0,))  # not unitary
-    state = StateVector.zero_state(1)
+    state = StateVector.basis_state(1, 0)
     with pytest.raises(ValueError):
-        qcore.apply_gate(state, Gate.x(3))
+        _apply(Gate.x(3), state)
     with pytest.raises(ValueError):
         qcore.run_circuit(QuantumCircuit(2, (Gate.x(0),)), state)
 
@@ -348,13 +371,14 @@ def test_single_state_runs_reject_per_pattern_angles(n_patterns):
     assert gate.angle.shape == (n_patterns,) and not gate.angle.flags.writeable
     signs = np.resize([0.5, -0.5], (n_patterns, 2, 1))
     batched = build_iteration_circuit(SystemHamiltonian.near_resonant(), 2.0, signs, 300.0)
+    over_times = build_coherent_circuit(SystemHamiltonian.near_resonant(), np.arange(n_patterns) * 1.5)
     state = StateVector.basis_state(2, 2)
-    with pytest.raises(ValueError, match="pattern"):
-        qcore.apply_gate(state, gate)
     with pytest.raises(ValueError, match="pattern"):
         qcore.run_circuit(QuantumCircuit(2, (Gate.x(0), gate)), state)
     with pytest.raises(ValueError, match="pattern"):
         qcore.run_circuit(batched, state)
+    with pytest.raises(ValueError, match="pattern or time"):
+        qcore.run_circuit(over_times, state)
 
 
 @pytest.mark.parametrize("angle", [[0.1, np.nan], [0.1, np.inf], [[0.1, 0.2]], None])

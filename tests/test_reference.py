@@ -52,13 +52,12 @@ def test_constant_common_shift_is_a_global_phase():
 def test_exact_propagate_point_and_errors():
     cfg = FluctuatorConfig.uniform(200.0, 2, 125.0)
     traj = generate_trajectory(cfg, 50, 2.0, seed=3)
-    probs = reference.exact_trajectory_propagate(NEAR, traj, 2.0, 100.0)
-    assert probs.shape == (2,)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    series = reference.exact_trajectory_series(NEAR, traj, 2.0, 50)  # up to t = 100 fs
+    assert series.shape == (51, 2)
+    assert series[-1].sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(series[:21], reference.exact_trajectory_series(NEAR, traj, 2.0, 20))
     with pytest.raises(ValueError):
-        reference.exact_trajectory_propagate(NEAR, traj, 2.0, 200.0)  # beyond trajectory
-    with pytest.raises(ValueError):
-        reference.exact_trajectory_propagate(NEAR, traj, 2.0, 3.0)  # off the grid
+        reference.exact_trajectory_series(NEAR, traj, 2.0, 100)  # beyond trajectory
 
 
 @pytest.mark.parametrize("h", [NEAR, NON], ids=["near", "non"])
