@@ -15,7 +15,8 @@ Three independent routes:
   the call; a run of equally spaced points is then filled by repeated
   squaring of that propagator, a handful of matrix products per run.
 * fit_dephasing_rate: least-squares match of the Lindblad populations to an
-  ensemble time series, golden-section search over log(gamma_deph).
+  ensemble time series, golden-section search over log(gamma_deph); the
+  rates of its bracket scan are integrated as one stack of generators.
 """
 
 from __future__ import annotations
@@ -133,8 +134,9 @@ def _generator_parts(h: SystemHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     return coherent, dephasing
 
 
-def _rk4_propagator(gen: np.ndarray, span_fs: float, max_step_fs: float) -> np.ndarray:
-    """Matrix that advances vec(rho) by span_fs: n_sub classical RK4 steps.
+def _rk4_propagator(gens: np.ndarray, span_fs: float, max_step_fs: float) -> np.ndarray:
+    """Matrices that advance vec(rho) by span_fs under each generator of a
+    (G, n^2, n^2) stack: n_sub classical RK4 steps.
 
     On a constant generator one RK4 step of size h is exactly the degree-4
     Taylor polynomial of A = h*gen, so the span is that polynomial to the
@@ -142,24 +144,16 @@ def _rk4_propagator(gen: np.ndarray, span_fs: float, max_step_fs: float) -> np.n
     not be this integrator, and would move the reported populations).
     """
     n_sub = max(1, math.ceil(span_fs / max_step_fs - 1e-12))
-    a = (span_fs / n_sub) * gen
+    a = (span_fs / n_sub) * gens
     a2 = a @ a
-    step = np.eye(gen.shape[0]) + a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
+    step = np.eye(gens.shape[-1]) + a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
     return np.linalg.matrix_power(step, n_sub)
 
 
-def _integrate_populations(
-    gen: np.ndarray,
-    rho0: np.ndarray,
-    t_grid_fs: np.ndarray,
-    max_step_fs: float,
-):
-    """Shared stepping core; returns vec(rho) at every grid point.
-
-    The grid is walked in runs of equal spacing, with one RK4 propagator P
-    per distinct spacing. A run of L points is filled by repeated squaring:
-    with the first m points of the run known, the next m are those points
-    times P^m, and P^2m = P^m P^m, so a run costs ceil(log2 L) products."""
+def _spacing_runs(t_grid_fs, max_step_fs: float) -> tuple[np.ndarray, list[tuple[int, int, float]]]:
+    """The validated time grid and its runs of equal spacing, as (a, b, span)
+    for the points [a, b). A grid from t = 0 leaves its first point, rho0
+    itself, out of every run."""
     t = np.asarray(t_grid_fs, dtype=np.float64)
     if t.ndim != 1 or t.size == 0:
         raise ConfigError("time grid must be a non-empty 1-d array")
@@ -170,35 +164,63 @@ def _integrate_populations(
         raise ConfigError("max_step_fs must be positive")
     if not t[-1] < 2.0**53 * max_step_fs:
         raise ConfigError("time grid needs more than 2^53 RK4 sub-steps")
-    v = rho0.reshape(-1).astype(np.complex128)
-    out = np.empty((t.size, v.size), dtype=np.complex128)
-    first = int(spans[0] == 0.0)  # a grid from t = 0 starts with rho0 itself
-    out[:first] = v
-    # the runs of equal spacing are [a, b) for consecutive bounds a, b
+    first = int(spans[0] == 0.0)
     bounds = sorted({first, t.size, *(np.flatnonzero(spans[1:] != spans[:-1]) + 1).tolist()})
+    return t, [(a, b, float(spans[a])) for a, b in zip(bounds, bounds[1:])]
+
+
+def _integrate_populations(
+    gens: np.ndarray,
+    rho0: np.ndarray,
+    t: np.ndarray,
+    runs: list[tuple[int, int, float]],
+    max_step_fs: float,
+    checked: slice,
+) -> np.ndarray:
+    """Shared stepping core: rho at every grid point for each generator of a
+    (G, n^2, n^2) stack, shape (G, n_points, n, n).
+
+    The grid (from ``_spacing_runs``) is walked in runs of equal spacing, with
+    one RK4 propagator P per distinct spacing. A run of L points is filled by
+    repeated squaring: with the first m points of the run known, the next m
+    are those points times P^m, and P^2m = P^m P^m, so a run costs
+    ceil(log2 L) products. Each generator's products are those of a stack of
+    one, so its result does not depend on the rest of the stack.
+
+    Each generator is checked as a call of its own would be, in stack order:
+    its trace drift at every point, then the density checks at the points
+    ``checked`` selects. The first generator that fails is reported."""
+    n = rho0.shape[0]
+    v = rho0.reshape(-1).astype(np.complex128)
+    out = np.empty((len(gens), t.size, v.size), dtype=np.complex128)
+    out[:, : int(t[0] == 0.0)] = v  # a grid from t = 0 starts with rho0 itself
     propagators: dict[float, np.ndarray] = {}
     # a step too large for RK4 overflows; the trace check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in zip(bounds, bounds[1:]):
-            span = float(spans[a])
+        for a, b, span in runs:
             prop = propagators.get(span)
             if prop is None:
-                prop = propagators[span] = _rk4_propagator(gen, span, max_step_fs)
-            out[a] = prop @ (out[a - 1] if a else v)
+                prop = propagators[span] = _rk4_propagator(gens, span, max_step_fs)
+            out[:, a] = (prop @ (out[:, a - 1, :, None] if a else v[:, None]))[..., 0]
             filled = 1
             while filled < b - a:
                 m = min(filled, b - a - filled)
-                out[a + filled : a + filled + m] = out[a : a + m] @ prop.T
+                np.matmul(out[:, a : a + m], prop.swapaxes(1, 2), out=out[:, a + filled : a + filled + m])
                 filled += m
                 if filled < b - a:
                     prop = prop @ prop
         # the trace of rho is the dot product of vec(rho) with vec(I)
-        drift = np.abs(out @ np.eye(rho0.shape[0]).reshape(-1) - 1.0).max()
-    if not drift <= 1e-6:
+        drift = np.abs(out @ np.eye(n).reshape(-1) - 1.0).max(axis=1)
+    failed = np.flatnonzero(~(drift <= 1e-6))
+    n_ok = int(failed[0]) if failed.size else len(gens)
+    stack = out.reshape(len(gens), t.size, n, n)
+    if n_ok:
+        check_density_matrices(stack[:n_ok, checked].reshape(-1, n, n), np.tile(t[checked], n_ok))
+    if failed.size:
         raise NumericalValidationError(
-            f"integration step too large: trace drifted by {drift:.3e}"
+            f"integration step too large: trace drifted by {drift[n_ok]:.3e}"
         )
-    return out
+    return stack
 
 
 def lindblad_integrate(
@@ -208,11 +230,10 @@ def lindblad_integrate(
     max_step_fs: float = 0.5,
 ) -> list[DensityMatrix]:
     """Density matrices on the grid; every output is invariant-checked."""
-    t = np.asarray(t_grid_fs, dtype=np.float64)
-    n = model.h.n_sites
-    stack = _integrate_populations(model.liouvillian(), rho0.matrix, t, max_step_fs).reshape(-1, n, n)
-    check_density_matrices(stack, t)
-    return [DensityMatrix._checked(rho) for rho in stack]
+    t, runs = _spacing_runs(t_grid_fs, max_step_fs)
+    gens = model.liouvillian()[None]
+    stack = _integrate_populations(gens, rho0.matrix, t, runs, max_step_fs, slice(None))
+    return [DensityMatrix._checked(rho) for rho in stack[0]]
 
 
 def lindblad_populations(
@@ -220,20 +241,24 @@ def lindblad_populations(
     t_grid_fs,
     max_step_fs: float = 0.5,
 ) -> np.ndarray:
-    """Site populations from |0><0|, shape (n_points, n_sites). Fast path
-    for the fit loop: same integrator, invariants checked only at the end."""
+    """Site populations from |0><0|, shape (n_points, n_sites). The same
+    integrator as ``lindblad_integrate``, with the invariants checked only
+    at the last point, as the fit checks each of its rates."""
     rho0 = DensityMatrix.site_excitation(model.h.n_sites).matrix
-    return _site_populations(model.liouvillian(), rho0, t_grid_fs, max_step_fs)
+    t, runs = _spacing_runs(t_grid_fs, max_step_fs)
+    return _site_populations(model.liouvillian()[None], rho0, t, runs, max_step_fs)[0]
 
 
 def _site_populations(
-    gen: np.ndarray, rho0: np.ndarray, t_grid_fs, max_step_fs: float
+    gens: np.ndarray,
+    rho0: np.ndarray,
+    t: np.ndarray,
+    runs: list[tuple[int, int, float]],
+    max_step_fs: float,
 ) -> np.ndarray:
-    n = rho0.shape[0]
-    t = np.asarray(t_grid_fs, float)
-    stack = _integrate_populations(gen, rho0, t, max_step_fs).reshape(-1, n, n)
-    check_density_matrices(stack[-1:], t[-1:])
-    return stack.diagonal(axis1=1, axis2=2).real
+    """Site populations for each generator of a stack, (G, n_points, n_sites)."""
+    stack = _integrate_populations(gens, rho0, t, runs, max_step_fs, slice(-1, None))
+    return stack.diagonal(axis1=2, axis2=3).real
 
 
 def exact_trajectory_series(
@@ -301,8 +326,14 @@ def fit_dephasing_rate(
     coherent series. A chain without a beating period, or a series of the
     wrong shape, with non-finite values or populations outside [0, 1],
     shorter than two beating periods or on a grid that is not strictly
-    increasing from t >= 0, is a ConfigError.
+    increasing from t >= 0, is a ConfigError, and so are a bracket other
+    than two finite rates 0 < lo < hi and a log_tol not finite and positive.
     """
+    lo, hi = bracket_thz
+    if not 0.0 < lo < hi < math.inf:
+        raise ConfigError(f"bracket_thz must be finite rates with 0 < lo < hi, got {bracket_thz!r}")
+    if not 0.0 < log_tol < math.inf:
+        raise ConfigError(f"log_tol must be finite and positive, got {log_tol!r}")
     t = np.asarray(t_fs, dtype=np.float64)
     p = np.asarray(populations, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != t.size or p.shape[1] != h.n_sites:
@@ -320,22 +351,24 @@ def fit_dephasing_rate(
     if not abs(worst - 0.5) <= 0.5 + POPULATION_TOL:
         raise ConfigError(f"ensemble populations must lie in [0, 1], got {worst!r}")
 
-    # the generator is coherent + rate * dephasing; both parts and the
-    # initial state are built once per fit
+    # the generator is coherent + rate * dephasing; both parts, the initial
+    # state and the grid's runs are built once per fit
     coherent, dephasing = _generator_parts(h)
     rho0 = DensityMatrix.site_excitation(h.n_sites).matrix
+    t, runs = _spacing_runs(t, max_step_fs)
     evaluations = 0
 
-    def objective(log_gamma: float) -> float:
+    # summed squared deviation at each log-rate, all integrated as one stack
+    def objectives(log_gammas) -> list[float]:
         nonlocal evaluations
-        evaluations += 1
-        gen = coherent + (math.exp(log_gamma) * THZ_TO_INV_FS) * dephasing
-        pops = _site_populations(gen, rho0, t, max_step_fs)
-        return float(((pops - p) ** 2).sum())
+        evaluations += len(log_gammas)
+        # math.exp, not np.exp: the two differ in the last bit for some rates
+        rates = np.array([math.exp(x) * THZ_TO_INV_FS for x in log_gammas])
+        pops = _site_populations(coherent + rates[:, None, None] * dephasing, rho0, t, runs, max_step_fs)
+        return [float(((q - p) ** 2).sum()) for q in pops]
 
-    lo, hi = (math.log(g) for g in bracket_thz)
-    grid = np.linspace(lo, hi, 17)
-    values = [objective(x) for x in grid]
+    grid = np.linspace(math.log(lo), math.log(hi), 17)
+    values = objectives(grid)
     best = int(np.argmin(values))
     if best == len(grid) - 1:
         raise ValueError(
@@ -346,16 +379,17 @@ def fit_dephasing_rate(
 
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > log_tol:
+    fc, fd = objectives([c, d])
+    # a tolerance finer than the floats can split ends where they stop splitting
+    while b - a > log_tol and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = objective(c)
+            (fc,) = objectives([c])
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = objective(d)
+            (fd,) = objectives([d])
     log_best = c if fc < fd else d
     sse = min(fc, fd)
     rms = math.sqrt(sse / p.size)

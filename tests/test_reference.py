@@ -337,3 +337,167 @@ def test_fit_reports_unbracketed_minimum():
     frozen = np.column_stack([np.ones_like(t), np.zeros_like(t)])
     with pytest.raises(ValueError, match="bracket"):
         reference.fit_dephasing_rate(t, frozen, NEAR)
+
+
+def test_stacked_rates_equal_each_rate_alone():
+    gens = np.stack([LindbladModel(NEAR, rate).liouvillian() for rate in ORACLE_RATES_THZ])
+    rho0 = DensityMatrix.site_excitation(2).matrix
+    for grid in ORACLE_GRIDS:
+        t, runs = reference._spacing_runs(grid, 0.5)
+        stacked = reference._site_populations(gens, rho0, t, runs, 0.5)
+        assert stacked.shape == (len(ORACLE_RATES_THZ), grid.size, 2)
+        for rate, pops in zip(ORACLE_RATES_THZ, stacked):
+            assert np.array_equal(pops, reference.lindblad_populations(LindbladModel(NEAR, rate), grid))
+
+
+def one_rate_at_a_time_fit(t, p, h, bracket_thz=(0.1, 500.0), log_tol=1e-3, max_step_fs=0.5, evaluated=None):
+    """The fit's log-rate scan and golden-section search, with every rate
+    integrated alone by ``lindblad_populations``; the log-rates go to
+    ``evaluated`` in evaluation order."""
+    evaluations = 0
+
+    def objective(log_gamma):
+        nonlocal evaluations
+        evaluations += 1
+        if evaluated is not None:
+            evaluated.append(log_gamma)
+        pops = reference.lindblad_populations(LindbladModel(h, math.exp(log_gamma)), t, max_step_fs)
+        return float(((pops - p) ** 2).sum())
+
+    grid = np.linspace(math.log(bracket_thz[0]), math.log(bracket_thz[1]), 17)
+    values = [objective(x) for x in grid]
+    best = int(np.argmin(values))
+    assert best < len(grid) - 1, "oracle found no bracket"
+    a, b = grid[max(best - 1, 0)], grid[best + 1]
+    c, d = b - reference._INVPHI * (b - a), a + reference._INVPHI * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > log_tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - reference._INVPHI * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + reference._INVPHI * (b - a)
+            fd = objective(d)
+    log_best = c if fc < fd else d
+    return reference.FitResult(math.exp(log_best), math.sqrt(min(fc, fd) / p.size), evaluations)
+
+
+def refit_style_series(rate_thz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact populations on the dephasing command's 2-fs grid plus Gaussian
+    noise the size of one 5000-shot point, as the refit benchmark writes."""
+    t = np.arange(301) * 2.0
+    p0 = exact_lindblad_populations(NEAR.matrix(), rate_thz, t)[:, 0]
+    rng = np.random.default_rng(int(rate_thz * 100))
+    noisy = np.clip(p0 + rng.normal(size=t.size) * np.sqrt(np.clip(p0 * (1.0 - p0), 0.0, None) / 5000), 0.0, 1.0)
+    return t, np.column_stack([noisy, 1.0 - noisy])
+
+
+def coherent_series() -> tuple[np.ndarray, np.ndarray]:
+    """The series of test_fit_on_coherent_series_returns_tiny_rate, which
+    fits at the lower bracket edge."""
+    t = np.arange(0.0, 401.0, 2.0)
+    return t, np.column_stack(model.analytic_populations(NEAR, t))
+
+
+@pytest.mark.parametrize("rate", [0.71, 6.39, 34.77, 70.96, "coherent"])
+def test_fit_equals_one_rate_at_a_time_golden_section(monkeypatch, rate):
+    t, p = coherent_series() if rate == "coherent" else refit_style_series(rate)
+    evaluated = []
+    expected = one_rate_at_a_time_fit(t, p, NEAR, evaluated=evaluated)
+    stacks = []
+    site_populations = reference._site_populations
+
+    def recording(gens, *args):
+        pops = site_populations(gens, *args)
+        stacks.append((gens, pops))
+        return pops
+
+    monkeypatch.setattr(reference, "_site_populations", recording)
+    fit = reference.fit_dephasing_rate(t, p, NEAR)
+    assert fit == expected
+    # the same generators in the same order, each with its populations alone
+    gens = np.concatenate([g for g, _ in stacks])
+    pops = np.concatenate([q for _, q in stacks])
+    assert len(gens) == len(evaluated) == fit.n_evaluations
+    for x, gen, q in zip(evaluated, gens, pops):
+        alone = LindbladModel(NEAR, math.exp(x))
+        assert np.array_equal(gen, alone.liouvillian())
+        assert np.array_equal(q, reference.lindblad_populations(alone, t))
+    if rate == "coherent":  # at the lower edge the search starts one grid step wide
+        assert fit.gamma_deph_thz < 0.2 and fit.n_evaluations == 33
+    else:
+        assert abs(fit.gamma_deph_thz / rate - 1.0) < 0.05 and fit.n_evaluations == 34
+
+
+def test_fit_checks_each_batch_in_one_call(monkeypatch):
+    calls = []
+    check = reference.check_density_matrices
+
+    def recording(stack, t_fs=None):
+        if t_fs is not None:  # not the initial state's own check
+            calls.append((stack.shape, np.array(t_fs)))
+        check(stack, t_fs)
+
+    t, p = refit_style_series(6.39)
+    monkeypatch.setattr(reference, "check_density_matrices", recording)
+    fit = reference.fit_dephasing_rate(t, p, NEAR)
+    # the scan's 17 last points, the opening pair, then one per golden step
+    assert [shape for shape, _ in calls] == [(17, 2, 2), (2, 2, 2)] + [(1, 2, 2)] * 15
+    assert sum(shape[0] for shape, _ in calls) == fit.n_evaluations
+    assert all((times == t[-1]).all() for _, times in calls)
+
+
+@pytest.mark.parametrize(
+    "spacing, failing",
+    # 12 fs: the two upper scan rates drift, the 293-THz rate by less than
+    # the 500-THz one; 10 fs: 293 THz passes the drift check but loses
+    # positivity at the last point, before 500 THz drifts
+    [(12.0, "trace drifted by"), (10.0, "lost positivity")],
+)
+def test_batched_fit_reports_the_first_failing_rate(spacing, failing):
+    t = np.arange(0.0, 601.0, spacing)
+    p = reference.lindblad_populations(LindbladModel(NEAR, 6.0), t)
+    with pytest.raises(NumericalValidationError) as expected:
+        one_rate_at_a_time_fit(t, p, NEAR, max_step_fs=spacing)
+    assert failing in str(expected.value)
+    with pytest.raises(NumericalValidationError) as batched:
+        reference.fit_dephasing_rate(t, p, NEAR, max_step_fs=spacing)
+    assert str(batched.value) == str(expected.value)
+    with pytest.raises(NumericalValidationError) as upper:
+        reference.lindblad_populations(LindbladModel(NEAR, 500.0), t, max_step_fs=spacing)
+    assert str(upper.value) != str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "controls, message",
+    [
+        ({"log_tol": 0.0}, "log_tol"),
+        ({"log_tol": -1.0}, "log_tol"),
+        ({"log_tol": math.nan}, "log_tol"),
+        ({"log_tol": math.inf}, "log_tol"),
+        ({"bracket_thz": (500.0, 0.1)}, "bracket_thz"),
+        ({"bracket_thz": (0.0, 500.0)}, "bracket_thz"),
+        ({"bracket_thz": (0.1, math.inf)}, "bracket_thz"),
+        ({"bracket_thz": (math.nan, 500.0)}, "bracket_thz"),
+        ({"bracket_thz": (6.0, 6.0)}, "bracket_thz"),
+    ],
+)
+def test_fit_rejects_bad_controls_before_any_evaluation(monkeypatch, controls, message):
+    def no_integration(*args):
+        raise AssertionError("integrated before rejecting the controls")
+
+    monkeypatch.setattr(reference, "_integrate_populations", no_integration)
+    t, p = refit_style_series(6.39)
+    with pytest.raises(ConfigError, match=message) as exc:
+        reference.fit_dephasing_rate(t, p, NEAR, **controls)
+    assert "\n" not in str(exc.value)
+
+
+def test_fit_tolerance_finer_than_the_floats_terminates():
+    t = np.arange(0.0, 601.0, 2.0)
+    p = reference.lindblad_populations(LindbladModel(NEAR, 6.0), t)
+    fit = reference.fit_dephasing_rate(t, p, NEAR, log_tol=1e-300)
+    assert abs(fit.gamma_deph_thz - 6.0) < 1e-9
+    assert fit.n_evaluations < 120
