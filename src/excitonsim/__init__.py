@@ -28,7 +28,6 @@ from excitonsim.qcore import (
     site_probabilities,
 )
 from excitonsim.reference import (
-    DensityMatrix,
     LindbladModel,
     fit_dephasing_rate,
     lindblad_integrate,
@@ -61,7 +60,6 @@ __all__ = [
     "run_circuit",
     "sample_shots",
     "site_probabilities",
-    "DensityMatrix",
     "LindbladModel",
     "fit_dephasing_rate",
     "lindblad_integrate",

@@ -315,12 +315,8 @@ def cmd_dephasing(args) -> int:
 
     result = noise.run_ensemble(h, noise_cfg, ens, workers=args.workers)
     fit = _fit_rate(result.t_fs, result.p_mean, h)
-    series = reference.lindblad_integrate(
-        reference.LindbladModel(h, fit.gamma_deph_thz),
-        reference.DensityMatrix.site_excitation(h.n_sites),
-        result.t_fs,
-    )
-    lind = np.stack([rho.populations for rho in series])
+    series = reference.lindblad_integrate(reference.LindbladModel(h, fit.gamma_deph_thz), result.t_fs)
+    lind = series.diagonal(axis1=1, axis2=2).real
 
     echo = {
         "hamiltonian": _hamiltonian_echo(h),
@@ -397,11 +393,14 @@ def cmd_resources(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    payload = report.to_dict()
     if args.gamma_thz is not None:
-        fluctuators = noise.FluctuatorConfig.uniform(0.0, args.n_sites, args.gamma_thz)
-        payload["switch_interval_steps"] = fluctuators.switch_interval_steps(args.dt_fs)
-    text = json.dumps(payload, indent=2, sort_keys=True)
+        # the switch interval does not depend on the chain, so one site checks it
+        fluctuators = noise.FluctuatorConfig.uniform(0.0, 1, args.gamma_thz)
+        report["switch_interval_steps"] = fluctuators.switch_interval_steps(args.dt_fs)
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True)
+    except ValueError as exc:  # an integer beyond Python's int-to-text digit limit
+        raise ConfigError("resource counts have too many digits to print as JSON") from exc
     if out:
         _write_text(out, text + "\n")
     print(text)

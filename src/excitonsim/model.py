@@ -199,40 +199,11 @@ def beating_period(h: SystemHamiltonian) -> float:
     return 2.0 * math.pi / (omega * PHASE_PER_CM1_FS)
 
 
-@dataclass(frozen=True)
-class ResourceReport:
-    """Qubit/gate/iteration accounting for a simulation configuration."""
-
-    n_sites: int
-    fluctuators_per_site: int
-    t_fs: float
-    dt_fs: float
-    iterations: int
-    qubits: int
-    register_qubits: int
-    per_iteration: dict
-    total: dict
-    asymptotic: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "n_sites": self.n_sites,
-            "fluctuators_per_site": self.fluctuators_per_site,
-            "t_fs": self.t_fs,
-            "dt_fs": self.dt_fs,
-            "iterations": self.iterations,
-            "qubits": self.qubits,
-            "register_qubits": self.register_qubits,
-            "per_iteration": dict(self.per_iteration),
-            "total": dict(self.total),
-            "asymptotic": dict(self.asymptotic),
-        }
-
-
 def estimate_resources(
     n_sites: int, fluctuators_per_site: int = 1, t_fs: float = 0.0, dt_fs: float = 1.0
-) -> ResourceReport:
-    """Qubit count, iteration count and per-iteration gate tallies.
+) -> dict:
+    """Qubit count, iteration count and per-iteration gate tallies, as a
+    JSON-ready dict.
 
     The qubit figure follows the 2*log2(N) accounting of the underlying
     algorithm; register_qubits is what this package's simulator actually
@@ -242,8 +213,8 @@ def estimate_resources(
         raise ValueError(f"n_sites must be a power of two >= 2, got {n_sites}")
     if fluctuators_per_site < 1:
         raise ValueError("fluctuators_per_site must be >= 1")
-    if dt_fs <= 0:
-        raise ValueError("dt_fs must be positive")
+    if not 0 < dt_fs < math.inf:
+        raise ValueError(f"dt_fs must be finite and positive, got {dt_fs}")
     if t_fs < 0:
         raise ValueError("t_fs must be non-negative")
     if not math.isfinite(t_fs / dt_fs):
@@ -271,15 +242,15 @@ def estimate_resources(
         "coherent gates = O(N^2 log2^2 N)": n_sites**2 * q**2,
         "gates per run = O((t/dt) N (log2 N + F))": iterations * n_sites * (q + f),
     }
-    return ResourceReport(
-        n_sites=n_sites,
-        fluctuators_per_site=f,
-        t_fs=float(t_fs),
-        dt_fs=float(dt_fs),
-        iterations=iterations,
-        qubits=2 * q,
-        register_qubits=q + 1,
-        per_iteration=per_iteration,
-        total=total,
-        asymptotic=asymptotic,
-    )
+    return {
+        "n_sites": n_sites,
+        "fluctuators_per_site": f,
+        "t_fs": float(t_fs),
+        "dt_fs": float(dt_fs),
+        "iterations": iterations,
+        "qubits": 2 * q,
+        "register_qubits": q + 1,
+        "per_iteration": per_iteration,
+        "total": total,
+        "asymptotic": asymptotic,
+    }

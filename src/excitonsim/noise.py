@@ -229,9 +229,6 @@ class EnsembleResult:
     t_fs: np.ndarray
     p_mean: np.ndarray
     p_stderr: np.ndarray
-    runs: int
-    shots: int
-    master_seed: int
 
 
 def _step_unitaries(
@@ -396,7 +393,4 @@ def run_ensemble(
         t_fs=ens.time_grid_fs(),
         p_mean=p_mean,
         p_stderr=p_stderr,
-        runs=ens.runs,
-        shots=ens.shots,
-        master_seed=ens.master_seed,
     )

@@ -72,37 +72,6 @@ def check_density_matrices(stack: np.ndarray, t_fs=None) -> None:
     raise NumericalValidationError(f"density matrix at {where} {problem}")
 
 
-@dataclass(eq=False)
-class DensityMatrix:
-    """Hermitian, unit-trace, (tolerantly) positive matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.matrix, dtype=np.complex128)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError("density matrix must be square")
-        check_density_matrices(rho[None])
-        self.matrix = rho
-
-    @classmethod
-    def _checked(cls, rho: np.ndarray) -> "DensityMatrix":
-        """Wrap a complex matrix that check_density_matrices has passed."""
-        out = cls.__new__(cls)
-        out.matrix = rho
-        return out
-
-    @classmethod
-    def site_excitation(cls, n_sites: int, site: int = 0) -> "DensityMatrix":
-        rho = np.zeros((n_sites, n_sites), dtype=np.complex128)
-        rho[site, site] = 1.0
-        return cls(rho)
-
-    @property
-    def populations(self) -> np.ndarray:
-        return np.diag(self.matrix).real.copy()
-
-
 @dataclass(frozen=True, eq=False)
 class LindbladModel:
     """Site-projector dephasing model: jump operators |m><m|, rate in THz."""
@@ -152,8 +121,8 @@ def _rk4_propagator(gens: np.ndarray, span_fs: float, max_step_fs: float) -> np.
 
 def _spacing_runs(t_grid_fs, max_step_fs: float) -> tuple[np.ndarray, list[tuple[int, int, float]]]:
     """The validated time grid and its runs of equal spacing, as (a, b, span)
-    for the points [a, b). A grid from t = 0 leaves its first point, rho0
-    itself, out of every run."""
+    for the points [a, b). A grid from t = 0 leaves its first point, the
+    initial state itself, out of every run."""
     t = np.asarray(t_grid_fs, dtype=np.float64)
     if t.ndim != 1 or t.size == 0:
         raise ConfigError("time grid must be a non-empty 1-d array")
@@ -171,14 +140,14 @@ def _spacing_runs(t_grid_fs, max_step_fs: float) -> tuple[np.ndarray, list[tuple
 
 def _integrate_populations(
     gens: np.ndarray,
-    rho0: np.ndarray,
     t: np.ndarray,
     runs: list[tuple[int, int, float]],
     max_step_fs: float,
     checked: slice,
 ) -> np.ndarray:
     """Shared stepping core: rho at every grid point for each generator of a
-    (G, n^2, n^2) stack, shape (G, n_points, n, n).
+    (G, n^2, n^2) stack, shape (G, n_points, n, n), from the site-0
+    excitation |0><0|, the initial state of every caller.
 
     The grid (from ``_spacing_runs``) is walked in runs of equal spacing, with
     one RK4 propagator P per distinct spacing. A run of L points is filled by
@@ -190,10 +159,11 @@ def _integrate_populations(
     Each generator is checked as a call of its own would be, in stack order:
     its trace drift at every point, then the density checks at the points
     ``checked`` selects. The first generator that fails is reported."""
-    n = rho0.shape[0]
-    v = rho0.reshape(-1).astype(np.complex128)
+    n = math.isqrt(gens.shape[-1])
+    v = np.zeros(n * n, dtype=np.complex128)
+    v[0] = 1.0  # vec(|0><0|)
     out = np.empty((len(gens), t.size, v.size), dtype=np.complex128)
-    out[:, : int(t[0] == 0.0)] = v  # a grid from t = 0 starts with rho0 itself
+    out[:, : int(t[0] == 0.0)] = v  # a grid from t = 0 starts with |0><0| itself
     propagators: dict[float, np.ndarray] = {}
     # a step too large for RK4 overflows; the trace check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -225,15 +195,13 @@ def _integrate_populations(
 
 def lindblad_integrate(
     model: LindbladModel,
-    rho0: DensityMatrix,
     t_grid_fs,
     max_step_fs: float = 0.5,
-) -> list[DensityMatrix]:
-    """Density matrices on the grid; every output is invariant-checked."""
+) -> np.ndarray:
+    """Density matrices from |0><0| on the grid, shape (n_points, n, n);
+    every point is invariant-checked, all in one call."""
     t, runs = _spacing_runs(t_grid_fs, max_step_fs)
-    gens = model.liouvillian()[None]
-    stack = _integrate_populations(gens, rho0.matrix, t, runs, max_step_fs, slice(None))
-    return [DensityMatrix._checked(rho) for rho in stack[0]]
+    return _integrate_populations(model.liouvillian()[None], t, runs, max_step_fs, slice(None))[0]
 
 
 def lindblad_populations(
@@ -244,20 +212,18 @@ def lindblad_populations(
     """Site populations from |0><0|, shape (n_points, n_sites). The same
     integrator as ``lindblad_integrate``, with the invariants checked only
     at the last point, as the fit checks each of its rates."""
-    rho0 = DensityMatrix.site_excitation(model.h.n_sites).matrix
     t, runs = _spacing_runs(t_grid_fs, max_step_fs)
-    return _site_populations(model.liouvillian()[None], rho0, t, runs, max_step_fs)[0]
+    return _site_populations(model.liouvillian()[None], t, runs, max_step_fs)[0]
 
 
 def _site_populations(
     gens: np.ndarray,
-    rho0: np.ndarray,
     t: np.ndarray,
     runs: list[tuple[int, int, float]],
     max_step_fs: float,
 ) -> np.ndarray:
     """Site populations for each generator of a stack, (G, n_points, n_sites)."""
-    stack = _integrate_populations(gens, rho0, t, runs, max_step_fs, slice(-1, None))
+    stack = _integrate_populations(gens, t, runs, max_step_fs, slice(-1, None))
     return stack.diagonal(axis1=2, axis2=3).real
 
 
@@ -351,10 +317,9 @@ def fit_dephasing_rate(
     if not abs(worst - 0.5) <= 0.5 + POPULATION_TOL:
         raise ConfigError(f"ensemble populations must lie in [0, 1], got {worst!r}")
 
-    # the generator is coherent + rate * dephasing; both parts, the initial
-    # state and the grid's runs are built once per fit
+    # the generator is coherent + rate * dephasing; both parts and the
+    # grid's runs are built once per fit
     coherent, dephasing = _generator_parts(h)
-    rho0 = DensityMatrix.site_excitation(h.n_sites).matrix
     t, runs = _spacing_runs(t, max_step_fs)
     evaluations = 0
 
@@ -364,7 +329,7 @@ def fit_dephasing_rate(
         evaluations += len(log_gammas)
         # math.exp, not np.exp: the two differ in the last bit for some rates
         rates = np.array([math.exp(x) * THZ_TO_INV_FS for x in log_gammas])
-        pops = _site_populations(coherent + rates[:, None, None] * dephasing, rho0, t, runs, max_step_fs)
+        pops = _site_populations(coherent + rates[:, None, None] * dephasing, t, runs, max_step_fs)
         return [float(((q - p) ** 2).sum()) for q in pops]
 
     grid = np.linspace(math.log(lo), math.log(hi), 17)

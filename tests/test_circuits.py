@@ -147,14 +147,14 @@ def test_iteration_gate_tally_matches_resource_report():
     assert counts["ControlledRotZ"] == 4
     assert counts["RotY"] == 2
     report = model.estimate_resources(2, 1, 2.0, 2.0)
-    for kind, value in report.per_iteration.items():
+    for kind, value in report["per_iteration"].items():
         assert counts[kind] == value
 
     h4 = SystemHamiltonian(np.full(4, 12500.0), np.full((4, 4), 30.0) - np.diag(np.full(4, 30.0)))
     it4 = circuits.build_iteration_circuit(h4, 2.0, [0.5, -0.5, 0.5, -0.5], 300.0)
     report4 = model.estimate_resources(4, 1, 2.0, 2.0)
     counts4 = circuits.gate_count(it4)
-    for kind, value in report4.per_iteration.items():
+    for kind, value in report4["per_iteration"].items():
         assert counts4[kind] == value
 
 

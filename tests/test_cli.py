@@ -338,6 +338,30 @@ def test_resources_rejects_non_positive_switching_rate(capsys):
     assert "switching_rate_thz" in assert_one_line_error(capsys, "config error:")
 
 
+def strict_json(text: str):
+    """json.loads that also refuses NaN and Infinity, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_resources_switch_interval_on_a_huge_chain(capsys):
+    # 2^62 sites: numpy refuses an array of that size without allocating it
+    assert cli.main(["resources", "--n-sites", str(2**62), "--gamma-thz", "125"]) == 0
+    out, err = capsys.readouterr()
+    payload = strict_json(out)
+    assert payload["n_sites"] == 2**62 and payload["switch_interval_steps"] == 4
+    assert err == ""
+
+
+@pytest.mark.parametrize("dt_fs", ["inf", "nan", "0", "-2"])
+def test_resources_rejects_a_step_that_is_not_finite_and_positive(capsys, dt_fs):
+    assert cli.main(["resources", "--n-sites", "2", f"--dt-fs={dt_fs}"]) == 2
+    assert "dt_fs must be finite and positive" in assert_one_line_error(capsys, "config error:")
+
+
 @pytest.mark.parametrize(
     "command, section, key, value",
     [
@@ -858,3 +882,47 @@ def test_fuzzed_dephasing_configs_exit_cleanly(tmp_path, capsys, monkeypatch, co
     err = capsys.readouterr().err
     assert code in (0, 2, 3)
     assert err.count("\n") <= 1 and "Traceback" not in err, err
+
+
+_RESOURCE_COUNTS = st.one_of(
+    st.sampled_from([2, 4, 1, 3, 0, -1, 6, 2**31, 2**53, 2**62, 2**62 + 1, 2**63, 2**14000]), st.integers()
+)
+_RESOURCE_FLOATS = st.one_of(
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 0.0, -0.0, -2.0, 1e-320, 1e-10, 1e300, 2.0, 3.0, 8.0, 800.0, 125.0,
+         2.0**53, 2.0**62]
+    ),
+    st.floats(),
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    n_sites=_RESOURCE_COUNTS,
+    fluctuators=st.one_of(st.none(), _RESOURCE_COUNTS),
+    t_fs=st.one_of(st.none(), _RESOURCE_FLOATS),
+    dt_fs=st.one_of(st.none(), _RESOURCE_FLOATS),
+    gamma_thz=st.one_of(st.none(), _RESOURCE_FLOATS),
+)
+@example(n_sites=2**62, fluctuators=None, t_fs=None, dt_fs=None, gamma_thz=125.0)
+@example(n_sites=2, fluctuators=None, t_fs=None, dt_fs=math.inf, gamma_thz=None)
+@example(n_sites=2**14000, fluctuators=None, t_fs=None, dt_fs=None, gamma_thz=None)
+def test_fuzzed_resources_args_exit_cleanly(capsys, n_sites, fluctuators, t_fs, dt_fs, gamma_thz):
+    argv = ["resources", f"--n-sites={n_sites}"]
+    for flag, value in [("--fluctuators", fluctuators), ("--t-fs", t_fs), ("--dt-fs", dt_fs), ("--gamma-thz", gamma_thz)]:
+        if value is not None:
+            argv.append(f"{flag}={value!r}")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    assert err.count("\n") <= 1 and "Traceback" not in err, err
+    if code == 0:
+        strict_json(out)

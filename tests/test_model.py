@@ -136,23 +136,23 @@ def test_beating_periods():
 
 def test_estimate_resources_two_sites():
     report = model.estimate_resources(2, fluctuators_per_site=1, t_fs=800.0, dt_fs=2.0)
-    assert report.qubits == 2
-    assert report.register_qubits == 2
-    assert report.iterations == 400
-    assert report.per_iteration["PauliX"] == 4
-    assert report.per_iteration["ControlledRotZ"] == 4
-    assert report.per_iteration["RotY"] == 2
-    assert report.total["PauliX"] == 1600
+    assert report["qubits"] == 2
+    assert report["register_qubits"] == 2
+    assert report["iterations"] == 400
+    assert report["per_iteration"]["PauliX"] == 4
+    assert report["per_iteration"]["ControlledRotZ"] == 4
+    assert report["per_iteration"]["RotY"] == 2
+    assert report["total"]["PauliX"] == 1600
 
 
 def test_estimate_resources_grows_with_chain():
     small = model.estimate_resources(2, 1, 100.0, 2.0)
     large = model.estimate_resources(4, 1, 100.0, 2.0)
-    assert large.qubits == 4
-    assert large.register_qubits == 3
-    gate_total = lambda rep: sum(rep.per_iteration.values())
+    assert large["qubits"] == 4
+    assert large["register_qubits"] == 3
+    gate_total = lambda rep: sum(rep["per_iteration"].values())
     assert gate_total(large) > gate_total(small)
-    assert large.asymptotic["coherent gates = O(N^2 log2^2 N)"] > small.asymptotic[
+    assert large["asymptotic"]["coherent gates = O(N^2 log2^2 N)"] > small["asymptotic"][
         "coherent gates = O(N^2 log2^2 N)"
     ]
 
@@ -162,3 +162,7 @@ def test_estimate_resources_rejects_bad_input():
         model.estimate_resources(3)
     with pytest.raises(ValueError):
         model.estimate_resources(2, 1, 801.0, 2.0)
+    # an infinite step would give zero iterations and a report that is not JSON
+    for dt_fs in (math.inf, math.nan, 0.0, -2.0):
+        with pytest.raises(ValueError, match="dt_fs must be finite and positive"):
+            model.estimate_resources(2, 1, 0.0, dt_fs)

@@ -9,25 +9,12 @@ from excitonsim import model, reference
 from excitonsim.errors import ConfigError, NumericalValidationError
 from excitonsim.model import SystemHamiltonian
 from excitonsim.noise import FluctuatorConfig, FluctuatorTrajectory, generate_trajectory
-from excitonsim.reference import DensityMatrix, LindbladModel
+from excitonsim.reference import LindbladModel
 
 K = 2.0 * math.pi * 2.99792458e-5
 
 NEAR = SystemHamiltonian.near_resonant()
 NON = SystemHamiltonian.non_resonant()
-
-
-def test_density_matrix_invariants_enforced():
-    with pytest.raises(NumericalValidationError):
-        DensityMatrix(np.array([[0.5, 0.1], [0.2, 0.5]]))  # not Hermitian
-    with pytest.raises(NumericalValidationError):
-        DensityMatrix(np.array([[0.7, 0.0], [0.0, 0.7]]))  # trace 1.4
-    with pytest.raises(NumericalValidationError):
-        DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
-    with pytest.raises(NumericalValidationError):
-        DensityMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    rho = DensityMatrix.site_excitation(2)
-    assert rho.populations.tolist() == [1.0, 0.0]
 
 
 def test_exact_propagation_with_zero_noise_matches_closed_form():
@@ -72,13 +59,11 @@ def test_lindblad_zero_rate_reduces_to_coherent_oscillation(h):
 def test_energy_basis_coherence_rotates_at_beat_frequency():
     decomp = model.eigendecompose(NEAR)
     t_grid = np.array([0.0, 10.0, 25.0, 40.0])
-    series = reference.lindblad_integrate(
-        LindbladModel(NEAR, 0.0), DensityMatrix.site_excitation(2), t_grid
-    )
+    series = reference.lindblad_integrate(LindbladModel(NEAR, 0.0), t_grid)
     omega = math.sqrt(73504.0) * K
-    rho_e0 = decomp.transform @ series[0].matrix @ decomp.transform.T
+    rho_e0 = decomp.transform @ series[0] @ decomp.transform.T
     for ti, rho in zip(t_grid, series):
-        rho_e = decomp.transform @ rho.matrix @ decomp.transform.T
+        rho_e = decomp.transform @ rho @ decomp.transform.T
         expected = rho_e0[0, 1] * np.exp(-1j * omega * ti)
         assert abs(rho_e[0, 1] - expected) < 1e-5
         # populations in the energy basis stay put
@@ -87,21 +72,17 @@ def test_energy_basis_coherence_rotates_at_beat_frequency():
 
 def test_lindblad_preserves_density_matrix_invariants():
     t = np.linspace(0.0, 500.0, 101)
-    series = reference.lindblad_integrate(
-        LindbladModel(NEAR, 10.0), DensityMatrix.site_excitation(2), t
-    )
-    for rho in series:  # DensityMatrix construction enforces the invariants
-        assert abs(np.trace(rho.matrix).real - 1.0) < 1e-9
-        assert np.abs(rho.matrix - rho.matrix.conj().T).max() < 1e-10
-        assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-8
+    series = reference.lindblad_integrate(LindbladModel(NEAR, 10.0), t)
+    assert series.shape == (101, 2, 2)
+    for rho in series:  # recomputed here, one matrix at a time
+        assert abs(np.trace(rho).real - 1.0) < 1e-9
+        assert np.abs(rho - rho.conj().T).max() < 1e-10
+        assert np.linalg.eigvalsh(rho).min() >= -1e-8
 
 
 def valid_stack(n_points: int) -> np.ndarray:
     t = np.linspace(0.0, 200.0, n_points)
-    series = reference.lindblad_integrate(
-        LindbladModel(NEAR, 10.0), DensityMatrix.site_excitation(2), t
-    )
-    return np.array([rho.matrix for rho in series])
+    return reference.lindblad_integrate(LindbladModel(NEAR, 10.0), t)
 
 
 @pytest.mark.parametrize(
@@ -136,22 +117,24 @@ def test_lindblad_integrate_checks_every_point_in_one_call(monkeypatch):
         calls.append((stack.shape, None if t_fs is None else np.array(t_fs)))
         check(stack, t_fs)
 
-    rho0 = DensityMatrix.site_excitation(2)
     monkeypatch.setattr(reference, "check_density_matrices", recording)
     t = np.arange(301) * 2.0
-    series = reference.lindblad_integrate(LindbladModel(NEAR, 10.0), rho0, t)
-    assert len(series) == 301
+    series = reference.lindblad_integrate(LindbladModel(NEAR, 10.0), t)
+    assert series.shape == (301, 2, 2)
     assert len(calls) == 1
     assert calls[0][0] == (301, 2, 2) and np.array_equal(calls[0][1], t)
-    pops = np.array([rho.populations for rho in series])
+    # the grid starts at t = 0 with the site-0 excitation itself
+    assert np.array_equal(series[0], np.diag([1.0, 0.0]))
+    pops = series.diagonal(axis1=1, axis2=2).real
+    assert pops[0].tolist() == [1.0, 0.0]
     assert np.array_equal(pops, reference.lindblad_populations(LindbladModel(NEAR, 10.0), t))
 
 
 @pytest.mark.parametrize("h", [NEAR, NON], ids=["near", "non"])
 def test_lindblad_relaxes_to_equal_populations(h):
     t = np.array([0.0, 2000.0])
-    series = reference.lindblad_integrate(LindbladModel(h, 30.0), DensityMatrix.site_excitation(2), t)
-    assert np.abs(series[-1].populations - 0.5).max() < 1e-3
+    series = reference.lindblad_integrate(LindbladModel(h, 30.0), t)
+    assert np.abs(series[-1].diagonal().real - 0.5).max() < 1e-3
 
 
 def test_strong_dephasing_suppresses_beating():
@@ -249,8 +232,8 @@ def test_lindblad_propagator_is_the_rk4_step_loop(rate):
         expected = literal_rk4_populations(model_.liouvillian(), grid, 0.5)
         pops = reference.lindblad_populations(model_, grid, max_step_fs=0.5)
         assert np.abs(pops - expected).max() < 1e-12
-        series = reference.lindblad_integrate(model_, DensityMatrix.site_excitation(2), grid)
-        assert np.abs(np.stack([rho.populations for rho in series]) - expected).max() < 1e-12
+        series = reference.lindblad_integrate(model_, grid)
+        assert np.abs(series.diagonal(axis1=1, axis2=2).real - expected).max() < 1e-12
 
 
 def test_oracle_grids_have_the_runs_they_claim():
@@ -287,6 +270,18 @@ FOUR_SITES = SystemHamiltonian(
 @pytest.mark.parametrize("rate", [0.0, 10.0, 300.0])
 def test_liouvillian_is_the_projector_jump_kron_sum(h, rate):
     assert np.array_equal(LindbladModel(h, rate).liouvillian(), kron_sum_liouvillian(h.matrix(), rate))
+
+
+@pytest.mark.parametrize("h", [NEAR, FOUR_SITES], ids=["near", "four_sites"])
+def test_lindblad_integrate_starts_from_the_site0_excitation(h):
+    t = np.array([0.0, 1.0, 50.0])
+    series = reference.lindblad_integrate(LindbladModel(h, 10.0), t)
+    rho0 = np.zeros((h.n_sites, h.n_sites))
+    rho0[0, 0] = 1.0
+    assert series.shape == (3, h.n_sites, h.n_sites)
+    assert np.array_equal(series[0], rho0)
+    pops = reference.lindblad_populations(LindbladModel(h, 10.0), t)
+    assert np.array_equal(series.diagonal(axis1=1, axis2=2).real, pops)
 
 
 def test_fit_round_trip_recovers_known_rate():
@@ -341,10 +336,9 @@ def test_fit_reports_unbracketed_minimum():
 
 def test_stacked_rates_equal_each_rate_alone():
     gens = np.stack([LindbladModel(NEAR, rate).liouvillian() for rate in ORACLE_RATES_THZ])
-    rho0 = DensityMatrix.site_excitation(2).matrix
     for grid in ORACLE_GRIDS:
         t, runs = reference._spacing_runs(grid, 0.5)
-        stacked = reference._site_populations(gens, rho0, t, runs, 0.5)
+        stacked = reference._site_populations(gens, t, runs, 0.5)
         assert stacked.shape == (len(ORACLE_RATES_THZ), grid.size, 2)
         for rate, pops in zip(ORACLE_RATES_THZ, stacked):
             assert np.array_equal(pops, reference.lindblad_populations(LindbladModel(NEAR, rate), grid))
