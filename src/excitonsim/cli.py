@@ -36,10 +36,6 @@ PRESETS = {
 }
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 def load_config(path: str) -> dict:
     p = Path(path)
     if not p.exists():
@@ -182,8 +178,8 @@ def _write_text(path: Path, text: str) -> None:
 def write_csv(path: Path, columns: list[str], rows, config_echo: dict) -> None:
     lines = ["# config = " + json.dumps(config_echo, sort_keys=True)]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    for row in np.asarray(rows, dtype=np.float64).tolist():
+        lines.append(",".join(format(x, ".9g") for x in row))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -333,18 +329,7 @@ def cmd_dephasing(args) -> int:
             "master_seed": ens.master_seed,
         },
     }
-    rows = [
-        [
-            result.t_fs[i],
-            result.p_mean[i, 0],
-            result.p_mean[i, 1],
-            result.p_stderr[i, 0],
-            result.p_stderr[i, 1],
-            lind[i, 0],
-            lind[i, 1],
-        ]
-        for i in range(result.t_fs.size)
-    ]
+    rows = np.column_stack([result.t_fs, result.p_mean, result.p_stderr, lind])
     columns = [
         "t_fs",
         "p0_mean",

@@ -50,7 +50,11 @@ def check_ensemble_memory(noise_cfg: "FluctuatorConfig", ens: "EnsembleConfig") 
     """ConfigError if the ensemble's largest arrays would not fit in physical
     memory: the per-run shot frequencies, float64 of shape (runs, n_steps + 1,
     n_sites), one run's sign bits, int64 of shape (n_sites, F, intervals),
-    and the packed sign patterns of all runs, one bit per sign and interval."""
+    and the packed sign patterns of all runs, one bit per sign and interval.
+
+    The budget holds one copy of the frequencies. A serial ensemble peaks at
+    about 1.2 times their bytes, because the standard error is formed in
+    their own buffer; joining the blocks of ``workers > 1`` holds two copies."""
     n_signs = noise_cfg.n_sites * noise_cfg.fluctuators_per_site
     n_intervals = max(-(-ens.n_steps // noise_cfg.switch_interval_steps(ens.dt_fs)), 1)
     need = (
@@ -287,7 +291,10 @@ def _sign_patterns(
     packed = np.empty((len(run_indices), n_intervals, width), dtype=np.uint8)
     shot_seeds = []
     for k, r in enumerate(run_indices):
-        traj_ss, shot_ss = np.random.SeedSequence([ens.master_seed, r]).spawn(2)
+        # the two children .spawn(2) would make, without hashing the parent
+        traj_ss, shot_ss = (
+            np.random.SeedSequence([ens.master_seed, r], spawn_key=(i,)) for i in (0, 1)
+        )
         shot_seeds.append(shot_ss)
         bits = np.random.default_rng(traj_ss).integers(
             0, 2, size=(noise_cfg.n_sites, noise_cfg.fluctuators_per_site, max(n_intervals, 1))
@@ -310,8 +317,9 @@ def _run_frequencies(
     """Shot frequencies for a block of runs, shape (runs, n_steps + 1, n_sites).
 
     The block's distinct fluctuator sign patterns are compiled to their
-    step unitaries through one circuit, and all runs advance together, one
-    gathered product per step. Run r draws its trajectory and its shots from the two children
+    step unitaries through one circuit, and all runs advance together: each
+    run's step unitary is gathered once per switch interval and applied once
+    per step. Run r draws its trajectory and its shots from the two children
     of SeedSequence([master_seed, r]), so a run's frequencies do not depend
     on which block it is in.
     """
@@ -325,9 +333,11 @@ def _run_frequencies(
     states[:, 0] = 1.0
     probs = np.empty((n_runs, n_steps + 1, h.n_sites), dtype=np.float64)
     probs[:, 0] = states.real**2 + states.imag**2
-    for i in range(n_steps):
-        states = np.einsum("rij,rj->ri", unitaries[pattern_index[:, i // interval]], states)
-        probs[:, i + 1] = states.real**2 + states.imag**2
+    for j, start in enumerate(range(0, n_steps, interval)):
+        step = unitaries[pattern_index[:, j]]
+        for i in range(start, min(start + interval, n_steps)):
+            states = np.einsum("rij,rj->ri", step, states)
+            probs[:, i + 1] = states.real**2 + states.imag**2
 
     norm2 = probs[:, -1].sum(axis=1)
     drifted = np.flatnonzero(np.abs(norm2 - 1.0) > 1e-9)
@@ -339,10 +349,10 @@ def _run_frequencies(
 
     # the probabilities are overwritten in place by each run's frequencies
     np.clip(probs, 0.0, None, out=probs)
-    probs /= probs.sum(axis=2, keepdims=True)
-    for k, shot_ss in enumerate(shot_seeds):
-        counts = np.random.default_rng(shot_ss).multinomial(ens.shots, probs[k])
-        np.divide(counts, ens.shots, out=probs[k])
+    for run, shot_ss in zip(probs, shot_seeds):
+        run /= run.sum(axis=1, keepdims=True)
+        counts = np.random.default_rng(shot_ss).multinomial(ens.shots, run)
+        np.divide(counts, ens.shots, out=run)
     return probs
 
 
@@ -386,7 +396,10 @@ def run_ensemble(
         stacked = _run_frequencies(h, noise_cfg, ens, blocks[0])
     p_mean = stacked.mean(axis=0)
     if ens.runs > 1:
-        p_stderr = stacked.std(axis=0, ddof=1) / np.sqrt(ens.runs)
+        # std(ddof=1) as numpy computes it, in the frequencies' own buffer
+        np.subtract(stacked, p_mean, out=stacked)
+        np.multiply(stacked, stacked, out=stacked)
+        p_stderr = np.sqrt(stacked.sum(axis=0) / (ens.runs - 1)) / np.sqrt(ens.runs)
     else:
         p_stderr = np.zeros_like(p_mean)
     return EnsembleResult(

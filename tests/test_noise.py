@@ -1,6 +1,7 @@
 """Telegraph-noise trajectories and the stochastic ensemble engine."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,78 @@ def test_sign_patterns_match_generated_trajectories(n_sites, per_site, t_max_fs)
     )
     assert np.array_equal(patterns, expected)
     assert np.array_equal(pattern_index.reshape(-1), inverse.reshape(-1))
+
+
+@pytest.mark.parametrize("master_seed", [0, 20260810, 2**64, 2**70 + 3])
+def test_shot_seeds_are_the_second_spawned_child(master_seed):
+    cfg = FluctuatorConfig.uniform(300.0, 2, 125.0)
+    ens = EnsembleConfig(runs=4, shots=10, dt_fs=2.0, t_max_fs=16.0, master_seed=master_seed)
+    runs = range(5, 9)
+    _, _, shot_seeds = noise._sign_patterns(cfg, ens, runs)
+    assert len(shot_seeds) == len(runs)
+    for r, seed in zip(runs, shot_seeds):
+        expected = np.random.SeedSequence([master_seed, r]).spawn(2)[1]
+        assert seed.entropy == expected.entropy
+        assert seed.spawn_key == expected.spawn_key
+        assert np.array_equal(seed.generate_state(8), expected.generate_state(8))
+
+
+def per_step_frequencies(h, cfg, ens, runs):
+    """The ensemble's shot frequencies with one gather per step, one
+    normalisation over the whole block and then each run's multinomial."""
+    interval = cfg.switch_interval_steps(ens.dt_fs)
+    patterns, pattern_index, shot_seeds = noise._sign_patterns(cfg, ens, runs)
+    unitaries = noise._step_unitaries(h, cfg, ens.dt_fs, patterns)
+    states = np.zeros((len(runs), 1 << h.n_system_qubits), dtype=np.complex128)
+    states[:, 0] = 1.0
+    probs = [states.real**2 + states.imag**2]
+    for i in range(ens.n_steps):
+        states = np.einsum("rij,rj->ri", unitaries[pattern_index[:, i // interval]], states)
+        probs.append(states.real**2 + states.imag**2)
+    probs = np.clip(np.stack(probs, axis=1), 0.0, None)
+    probs /= probs.sum(axis=2, keepdims=True)
+    return np.stack(
+        [
+            np.random.default_rng(seed).multinomial(ens.shots, p) / ens.shots
+            for seed, p in zip(shot_seeds, probs)
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "n_sites, per_site, rate_thz, t_max_fs",
+    [
+        (2, 1, 125.0, 102.0),  # interval 4, 51 steps: the last interval is cut short
+        (2, 1, 500.0, 40.0),  # interval 1
+        (2, 1, 12.5, 60.0),  # interval 40 over 30 steps
+        (2, 1, 12.5, 80.0),  # interval 40 over exactly 40 steps
+        (2, 1, 125.0, 0.0),  # no steps
+        (4, 2, 125.0, 60.0),  # 8 signs, dense 4-site gates
+    ],
+)
+def test_run_frequencies_match_a_per_step_loop(n_sites, per_site, rate_thz, t_max_fs):
+    h = NEAR if n_sites == 2 else four_site_chain()
+    cfg = FluctuatorConfig.uniform(300.0, n_sites, rate_thz, fluctuators_per_site=per_site)
+    ens = EnsembleConfig(runs=7, shots=300, dt_fs=2.0, t_max_fs=t_max_fs, master_seed=23)
+    runs = range(2, 9)
+    freqs = noise._run_frequencies(h, cfg, ens, runs)
+    assert freqs.shape == (len(runs), ens.n_steps + 1, n_sites)
+    assert np.array_equal(freqs, per_step_frequencies(h, cfg, ens, runs))
+
+
+def test_ensemble_peak_memory_is_near_one_copy_of_the_frequencies():
+    cfg = FluctuatorConfig.uniform(300.0, 2, 125.0)
+    ens = EnsembleConfig(runs=400, shots=5000, dt_fs=2.0, t_max_fs=600.0, master_seed=6)
+    freq_bytes = ens.runs * (ens.n_steps + 1) * cfg.n_sites * 8
+    tracemalloc.start()
+    try:
+        result = noise.run_ensemble(NEAR, cfg, ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.p_mean.shape == (301, 2)
+    # about 1.2x: the standard error is formed in the frequencies' own buffer
+    assert peak < 1.4 * freq_bytes, peak / freq_bytes
 
 
 def test_workers_below_one_rejected():
