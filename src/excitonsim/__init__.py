@@ -8,7 +8,7 @@ Haken-Stroebl-type Lindblad solver with a dephasing-rate fit) validate
 every path.
 """
 
-from excitonsim.circuits import build_coherent_circuit, build_iteration_circuit, gate_count
+from excitonsim.circuits import build_coherent_circuit, build_iteration_circuit
 from excitonsim.model import (
     PHASE_PER_CM1_FS,
     SystemHamiltonian,
@@ -19,14 +19,7 @@ from excitonsim.model import (
     mixing_angle,
 )
 from excitonsim.noise import EnsembleConfig, FluctuatorConfig, generate_trajectory, run_ensemble
-from excitonsim.qcore import (
-    Gate,
-    QuantumCircuit,
-    StateVector,
-    run_circuit,
-    sample_shots,
-    site_probabilities,
-)
+from excitonsim.qcore import Gate, QuantumCircuit, sample_shots
 from excitonsim.reference import (
     LindbladModel,
     fit_dephasing_rate,
@@ -49,17 +42,13 @@ __all__ = [
     "mixing_angle",
     "build_coherent_circuit",
     "build_iteration_circuit",
-    "gate_count",
     "EnsembleConfig",
     "FluctuatorConfig",
     "generate_trajectory",
     "run_ensemble",
     "Gate",
     "QuantumCircuit",
-    "StateVector",
-    "run_circuit",
     "sample_shots",
-    "site_probabilities",
     "LindbladModel",
     "fit_dephasing_rate",
     "lindblad_integrate",

@@ -13,7 +13,7 @@ import numpy as np
 
 from excitonsim.errors import NumericalValidationError
 from excitonsim.model import PHASE_PER_CM1_FS, SystemHamiltonian, mixing_angle
-from excitonsim.qcore import NORM_TOL, Gate, GateKind, QuantumCircuit, _execute_packed, _site_probs
+from excitonsim.qcore import NORM_TOL, Gate, QuantumCircuit, _execute_packed, _site_probs
 
 SIGN_VALUES = (0.5, -0.5)
 
@@ -70,8 +70,8 @@ def coherent_site_populations(h: SystemHamiltonian, t_grid_fs) -> np.ndarray:
     """Site populations of the coherent circuit at each time, (P, n_sites).
 
     The circuit over the whole grid runs once on a (2D, P) block whose
-    ancilla-|1> half starts at |0..0>_sys. As for a StateVector, each column's
-    norm^2 must be finite and within NORM_TOL of 1; the error names its time."""
+    ancilla-|1> half starts at |0..0>_sys. Each column's norm^2 must be
+    finite and within NORM_TOL of 1; the error names its time."""
     t = np.atleast_1d(np.asarray(t_grid_fs, dtype=np.float64))
     circuit = build_coherent_circuit(h, t)
     n_sys = h.n_system_qubits
@@ -129,12 +129,3 @@ def build_iteration_circuit(
         for q in zero_bits:
             gates.append(Gate.x(q))
     return QuantumCircuit(n_sys + 1, gates)
-
-
-def gate_count(circuit: QuantumCircuit) -> dict[str, int]:
-    """Exact tally by gate kind; every kind is present, zero counts included."""
-    counts = {kind.value: 0 for kind in GateKind}
-    for gate in circuit.gates:
-        counts[gate.kind.value] += 1
-    return counts
-

@@ -207,7 +207,9 @@ def estimate_resources(
 
     The qubit figure follows the 2*log2(N) accounting of the underlying
     algorithm; register_qubits is what this package's simulator actually
-    allocates (log2(N) system qubits plus one reused ancilla).
+    allocates (log2(N) system qubits plus one reused ancilla). RotZ and
+    ControlledNot belong to the paper's gate set; no circuit here uses
+    them, so their tallies are always zero.
     """
     if n_sites < 2 or n_sites & (n_sites - 1):
         raise ValueError(f"n_sites must be a power of two >= 2, got {n_sites}")

@@ -1,10 +1,9 @@
-"""Statevector simulation for small qubit registers.
+"""Batched statevector simulation for small qubit registers.
 
-Dense complex128 column vectors; basis index carries qubit 0 as the least
+Dense complex128 registers; basis index carries qubit 0 as the least
 significant bit, so ``|q1 q0>`` has index ``(q1 << 1) | q0``. Gates and
 circuits are immutable. ``_execute_packed`` runs a circuit on a register
-shaped (2^n, *batch), one column per sign pattern or time point;
-``run_circuit`` runs one state and is the tests' per-column oracle.
+shaped (2^n, *batch), one column per sign pattern or time point.
 
 Rotation conventions (fixed; all circuit builders rely on them):
 
@@ -12,9 +11,10 @@ Rotation conventions (fixed; all circuit builders rely on them):
                    [sin(theta/2),  cos(theta/2)]]
     RotZ(phi)   = diag(exp(-i phi/2), exp(+i phi/2))
 
-ControlledRotZ applies RotZ to its target on the subspace where every
-control qubit is 1 (so with the target held at |1>, the controlled branch
-picks up exp(+i phi/2)).
+A gate acts on its target only on the subspace where every control qubit
+is 1: ControlledRotZ with the target held at |1> gives the controlled
+branch exp(+i phi/2), and with no controls it is RotZ. A DenseUnitary on
+targets (t0, t1, ...) reads t0 as the least significant bit of its index.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from excitonsim.errors import NumericalValidationError
 
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-10
@@ -38,13 +36,11 @@ _OP_PHASE = 2
 class GateKind(enum.Enum):
     PAULI_X = "PauliX"
     ROT_Y = "RotY"
-    ROT_Z = "RotZ"
     CONTROLLED_ROT_Z = "ControlledRotZ"
-    CONTROLLED_NOT = "ControlledNot"
     DENSE_UNITARY = "DenseUnitary"
 
 
-_ANGLED = {GateKind.ROT_Y, GateKind.ROT_Z, GateKind.CONTROLLED_ROT_Z}
+_ANGLED = {GateKind.ROT_Y, GateKind.CONTROLLED_ROT_Z}
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +60,9 @@ class Gate:
             raise ValueError(f"control and target indices must be disjoint: {touched}")
         if any(q < 0 for q in touched):
             raise ValueError(f"negative qubit index in {touched}")
+        # the packer reads only targets[0], and ignores a DenseUnitary's controls
+        if self.kind is not GateKind.DENSE_UNITARY and len(self.targets) != 1:
+            raise ValueError(f"{self.kind.value} needs exactly one target, got {self.targets}")
         if self.kind in _ANGLED:
             angle = np.array(self.angle, dtype=np.float64)  # None reads as nan
             if angle.ndim > 1 or not np.isfinite(angle).all():
@@ -71,6 +70,8 @@ class Gate:
             angle.setflags(write=False)
             object.__setattr__(self, "angle", angle if angle.ndim else float(angle))
         if self.kind is GateKind.DENSE_UNITARY:
+            if self.controls:
+                raise ValueError(f"DenseUnitary takes no controls, got {self.controls}")
             dim = 1 << len(self.targets)
             m = self.matrix
             if m is None or m.shape != (dim, dim):
@@ -89,18 +90,10 @@ class Gate:
         return cls(GateKind.ROT_Y, (qubit,), angle=theta)
 
     @classmethod
-    def rz(cls, phi: float, qubit: int) -> "Gate":
-        return cls(GateKind.ROT_Z, (qubit,), angle=phi)
-
-    @classmethod
     def crz(cls, phi, controls, target: int) -> "Gate":
         if isinstance(controls, int):
             controls = (controls,)
         return cls(GateKind.CONTROLLED_ROT_Z, (target,), tuple(controls), phi)
-
-    @classmethod
-    def cnot(cls, control: int, target: int) -> "Gate":
-        return cls(GateKind.CONTROLLED_NOT, (target,), (control,))
 
     @classmethod
     def dense(cls, matrix: np.ndarray, targets) -> "Gate":
@@ -176,7 +169,7 @@ def _pack(gates) -> list:
             flush()
             segments.append(("dense", gate.matrix, gate.targets))
             continue
-        if gate.kind in (GateKind.PAULI_X, GateKind.CONTROLLED_NOT):
+        if gate.kind is GateKind.PAULI_X:
             op = _OP_FLIP
         elif gate.kind is GateKind.ROT_Y:
             op = _OP_ROTY
@@ -276,68 +269,6 @@ def _execute_packed(amps: np.ndarray, num_qubits: int, segments: list) -> np.nda
         else:
             amps = _apply_dense(amps, seg[1], seg[2])
     return amps
-
-
-@dataclass(eq=False)
-class StateVector:
-    """Normalized amplitude vector over 2^num_qubits basis states."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (1 << self.num_qubits,):
-            raise ValueError(
-                f"expected {1 << self.num_qubits} amplitudes, got shape {amps.shape}"
-            )
-        if not np.isfinite(amps.view(np.float64)).all():
-            raise NumericalValidationError("non-finite amplitude")
-        norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise NumericalValidationError(f"state norm^2 drifted to {norm2!r}")
-        self.amplitudes = amps
-
-    @classmethod
-    def basis_state(cls, num_qubits: int, index: int) -> "StateVector":
-        amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-        amps[index] = 1.0
-        return cls(num_qubits, amps)
-
-
-def run_circuit(circuit: QuantumCircuit, initial: StateVector) -> StateVector:
-    """Apply all gates in order. Deterministic; validates the final norm."""
-    if circuit.num_qubits != initial.num_qubits:
-        raise ValueError("circuit and state sizes differ")
-    if any(isinstance(gate.angle, np.ndarray) for gate in circuit.gates):
-        raise ValueError("a gate with one angle per sign pattern or time needs a batched register")
-    amps = initial.amplitudes.copy()
-    amps = _execute_packed(amps, circuit.num_qubits, circuit.packed())
-    return StateVector(circuit.num_qubits, amps)
-
-
-def site_probabilities(state: StateVector, system_qubits) -> np.ndarray:
-    """Marginal probabilities over ``system_qubits`` (everything else summed out).
-
-    The returned index m reads system_qubits[0] as its least significant bit.
-    """
-    qs = tuple(system_qubits)
-    if not qs:
-        raise ValueError("system_qubits must not be empty")
-    if len(set(qs)) != len(qs):
-        raise ValueError("duplicate qubit in system_qubits")
-    for q in qs:
-        if not 0 <= q < state.num_qubits:
-            raise ValueError(f"qubit {q} out of range")
-    amps = state.amplitudes
-    if qs == tuple(range(len(qs))):
-        return _site_probs(amps, len(qs))
-    p = amps.real**2 + amps.imag**2
-    idx = np.arange(amps.size)
-    m = np.zeros(amps.size, dtype=np.int64)
-    for pos, q in enumerate(qs):
-        m |= ((idx >> q) & 1) << pos
-    return np.bincount(m, weights=p, minlength=1 << len(qs))
 
 
 def sample_shots(probabilities, shots: int, rng_seed) -> np.ndarray:

@@ -80,8 +80,8 @@ class LindbladModel:
     gamma_deph_thz: float
 
     def __post_init__(self):
-        if self.gamma_deph_thz < 0:
-            raise ValueError("gamma_deph_thz must be non-negative")
+        if not (math.isfinite(self.gamma_deph_thz) and self.gamma_deph_thz >= 0):
+            raise ValueError(f"gamma_deph_thz must be finite and >= 0, got {self.gamma_deph_thz!r}")
 
     def liouvillian(self) -> np.ndarray:
         """Generator acting on row-major vec(rho), in 1/fs."""

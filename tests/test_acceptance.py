@@ -17,6 +17,7 @@ from excitonsim.noise import FluctuatorConfig, FluctuatorTrajectory, expand_inte
 from excitonsim.reference import LindbladModel
 
 from conftest import MASTER_SEED, STRENGTHS_CM1, dephasing_config_payload, run_dephasing
+from kron_oracle import basis, run
 
 NEAR = SystemHamiltonian.near_resonant()
 NON = SystemHamiltonian.non_resonant()
@@ -99,11 +100,11 @@ def test_criterion_02_transfer_maxima(tmp_path, preset, expected_max):
 
 def test_criterion_03_circuit_oracle_equivalence():
     worst = 0.0
-    init = qcore.StateVector.basis_state(2, 2)
+    init = basis(2, 2)
     for h in (NEAR, NON):
         for t in np.linspace(0.0, 300.0, 60):
-            state = qcore.run_circuit(circuits.build_coherent_circuit(h, t), init)
-            probs = qcore.site_probabilities(state, [0])
+            state = run(circuits.build_coherent_circuit(h, t), init)
+            probs = qcore._site_probs(state, 1)
             p0, p1 = model.analytic_populations(h, t)
             worst = max(worst, abs(probs[0] - p0), abs(probs[1] - p1))
     ok = worst < 1e-9
@@ -126,14 +127,14 @@ def test_criterion_04_trotter_order():
             signs = expand_interval_signs(interval_signs, a, n_steps)
             traj = FluctuatorTrajectory(signs, a, cfg.strengths_cm1)
             exact = reference.exact_trajectory_series(NEAR, traj, dt, n_steps)
-            state = qcore.StateVector.basis_state(2, 2)
+            state = basis(2, 2)
             stride = int(round(2.0 / dt))
             worst = 0.0
             for i in range(n_steps):
                 circuit = circuits.build_iteration_circuit(NEAR, dt, signs[:, :, i], cfg.strengths_cm1)
-                state = qcore.run_circuit(circuit, state)
+                state = run(circuit, state)
                 if (i + 1) % stride == 0:
-                    probs = qcore.site_probabilities(state, [0])
+                    probs = qcore._site_probs(state, 1)
                     worst = max(worst, np.abs(probs - exact[i + 1]).max())
             errors[dt] = worst
         ratios.append(errors[2.0] / errors[1.0])

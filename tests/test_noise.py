@@ -6,11 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from excitonsim import model, noise, qcore, reference
+from excitonsim import model, noise, reference
 from excitonsim.errors import ConfigError, NumericalValidationError
 from excitonsim.qcore import Gate, QuantumCircuit
 from excitonsim.model import SystemHamiltonian
 from excitonsim.noise import EnsembleConfig, FluctuatorConfig
+
+from kron_oracle import basis, circuit_matrix, run
 
 NEAR = SystemHamiltonian.near_resonant()
 
@@ -198,10 +200,15 @@ def test_step_unitaries_match_per_column_circuit_runs():
     for pattern, u in zip(patterns, unitaries):
         circuit = noise.build_iteration_circuit(h, 2.0, pattern.reshape(4, 2), cfg.strengths_cm1)
         for m in range(dim):
-            initial = qcore.StateVector.basis_state(n_sys + 1, dim | m)
-            column = qcore.run_circuit(circuit, initial).amplitudes[dim:]
+            column = run(circuit, basis(n_sys + 1, dim | m))[dim:]
             worst = max(worst, np.abs(u[:, m] - column).max())
     assert worst <= 1e-14
+    # the pattern-batched circuit's kron-oracle matrix keeps the ancilla at
+    # |1>, and its |1>-block is each pattern's step unitary
+    batched = noise.build_iteration_circuit(h, 2.0, patterns.reshape(-1, 4, 2), cfg.strengths_cm1)
+    oracle = circuit_matrix(batched)
+    assert np.abs(oracle[:, dim:, dim:] - unitaries).max() <= 1e-14
+    assert np.abs(oracle[:, :dim, dim:]).max() <= 1e-14
     gram = np.einsum("pki,pkj->pij", unitaries.conj(), unitaries)
     assert np.abs(gram - np.eye(dim)).max() <= 1e-12
 

@@ -1,4 +1,5 @@
-"""Gate application, circuit execution, marginals and shot sampling."""
+"""Gate conventions, batched circuit execution against the kron oracle,
+marginals and shot sampling."""
 
 import math
 
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 import excitonsim
 from excitonsim import qcore
-from excitonsim.errors import NumericalValidationError
 from excitonsim.model import SystemHamiltonian
 from excitonsim.circuits import build_coherent_circuit
-from excitonsim.qcore import Gate, QuantumCircuit, StateVector
+from excitonsim.qcore import Gate, GateKind, QuantumCircuit
+
+from kron_oracle import basis, circuit_matrix, gate_matrix, oracle_run, run
 
 K = 2.0 * math.pi * 2.99792458e-5  # rad/fs per cm^-1
 
@@ -26,34 +28,37 @@ def closed_form_p1(t_fs: float) -> float:
     return AMP_NEAR * math.sin(0.5 * OMEGA_NEAR * K * t_fs) ** 2
 
 
-def _apply(gate: Gate, state: StateVector) -> StateVector:
-    return qcore.run_circuit(QuantumCircuit(state.num_qubits, (gate,)), state)
+def _apply(gate: Gate, amps: np.ndarray) -> np.ndarray:
+    return run(QuantumCircuit(amps.shape[0].bit_length() - 1, (gate,)), amps)
 
 
 def test_pauli_x_flips_basis_state():
-    state = StateVector.basis_state(1, 0)
-    flipped = _apply(Gate.x(0), state)
-    assert flipped.amplitudes[0] == 0
-    assert flipped.amplitudes[1] == 1
+    flipped = _apply(Gate.x(0), basis(1, 0))
+    assert flipped[0] == 0
+    assert flipped[1] == 1
+    assert np.array_equal(gate_matrix(Gate.x(0), 1), [[0, 1], [1, 0]])
 
 
 def test_rotz_convention_on_one_state():
-    state = StateVector.basis_state(1, 1)
+    # RotZ is ControlledRotZ with no controls
     phi = 0.7321
-    rotated = _apply(Gate.rz(phi, 0), state)
-    assert rotated.amplitudes[1] == pytest.approx(np.exp(0.5j * phi), abs=1e-15)
-    state0 = StateVector.basis_state(1, 0)
-    rotated0 = _apply(Gate.rz(phi, 0), state0)
-    assert rotated0.amplitudes[0] == pytest.approx(np.exp(-0.5j * phi), abs=1e-15)
+    rotz = Gate.crz(phi, (), 0)
+    rotated = _apply(rotz, basis(1, 1))
+    assert rotated[1] == pytest.approx(np.exp(0.5j * phi), abs=1e-15)
+    rotated0 = _apply(rotz, basis(1, 0))
+    assert rotated0[0] == pytest.approx(np.exp(-0.5j * phi), abs=1e-15)
+    expected = np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
+    assert np.abs(gate_matrix(rotz, 1) - expected).max() < 1e-15
 
 
 def test_roty_matrix_convention():
     theta = 1.234
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    for col, basis in enumerate((StateVector.basis_state(1, 0), StateVector.basis_state(1, 1))):
-        out = _apply(Gate.ry(theta, 0), basis).amplitudes
-        expected = np.array([[c, -s], [s, c]])[:, col]
-        assert np.abs(out - expected).max() < 1e-15
+    expected = np.array([[c, -s], [s, c]])
+    for col in range(2):
+        out = _apply(Gate.ry(theta, 0), basis(1, col))
+        assert np.abs(out - expected[:, col]).max() < 1e-15
+    assert np.abs(gate_matrix(Gate.ry(theta, 0), 1) - expected).max() < 1e-15
 
 
 def test_crz_phase_kickback_matches_dense_oracle():
@@ -68,31 +73,32 @@ def test_crz_phase_kickback_matches_dense_oracle():
     crz = np.diag([1.0, np.exp(-0.5j * phi), 1.0, np.exp(+0.5j * phi)])
     oracle = x_sys @ crz @ x_sys  # rightmost acts first
 
-    state = StateVector.basis_state(2, 2)  # |0>_sys (x) |1>_anc
+    state = basis(2, 2)  # |0>_sys (x) |1>_anc
     for gate in (Gate.x(0), Gate.crz(phi, 0, 1), Gate.x(0)):
         state = _apply(gate, state)
     expected = oracle @ np.array([0, 0, 1, 0], dtype=complex)
-    assert np.abs(state.amplitudes - expected).max() < 1e-14
-    assert state.amplitudes[2] == pytest.approx(np.exp(-1j * e0 * dt), abs=1e-12)
+    assert np.abs(state - expected).max() < 1e-14
+    assert state[2] == pytest.approx(np.exp(-1j * e0 * dt), abs=1e-12)
+    kron = circuit_matrix(QuantumCircuit(2, (Gate.x(0), Gate.crz(phi, 0, 1), Gate.x(0))))
+    assert np.abs(kron - oracle).max() < 1e-14
 
 
 def test_run_circuit_empty_is_identity():
-    init = StateVector.basis_state(2, 2)
-    out = qcore.run_circuit(QuantumCircuit(2, ()), init)
-    assert np.array_equal(out.amplitudes, init.amplitudes)
+    init = basis(2, 2)
+    out = run(QuantumCircuit(2, ()), init)
+    assert np.array_equal(out, init)
 
 
 def test_run_circuit_double_x_is_identity():
     circuit = QuantumCircuit(1, (Gate.x(0), Gate.x(0)))
-    out = qcore.run_circuit(circuit, StateVector.basis_state(1, 0))
-    assert np.abs(out.amplitudes - [1, 0]).max() < 1e-15
+    out = run(circuit, basis(1, 0))
+    assert np.abs(out - [1, 0]).max() < 1e-15
 
 
 def test_near_resonant_circuit_half_period_populations():
     h = SystemHamiltonian.near_resonant()
-    init = StateVector.basis_state(2, 2)
-    state = qcore.run_circuit(build_coherent_circuit(h, 61.5), init)
-    probs = qcore.site_probabilities(state, [0])
+    state = run(build_coherent_circuit(h, 61.5), basis(2, 2))
+    probs = qcore._site_probs(state, 1)
     expected_p1 = closed_form_p1(61.5)
     assert abs(probs[1] - expected_p1) < 1e-12
     assert probs[1] == pytest.approx(0.864, abs=5e-4)
@@ -101,28 +107,20 @@ def test_near_resonant_circuit_half_period_populations():
 
 def test_full_revival_at_beating_period():
     h = SystemHamiltonian.near_resonant()
-    init = StateVector.basis_state(2, 2)
-    state = qcore.run_circuit(build_coherent_circuit(h, PERIOD_NEAR), init)
-    probs = qcore.site_probabilities(state, [0])
+    state = run(build_coherent_circuit(h, PERIOD_NEAR), basis(2, 2))
+    probs = qcore._site_probs(state, 1)
     assert abs(probs[0] - 1.0) < 1e-12
     assert probs[1] < 1e-12
 
 
 def test_site_probabilities_basics():
-    state = StateVector.basis_state(2, 2)
-    assert np.allclose(qcore.site_probabilities(state, [0]), [1.0, 0.0])
-    plus = StateVector(2, np.array([0, 0, 1, 1]) / math.sqrt(2))
-    assert np.allclose(qcore.site_probabilities(plus, [0]), [0.5, 0.5])
-    with pytest.raises(ValueError):
-        qcore.site_probabilities(state, [])
-
-
-def test_site_probabilities_respects_qubit_order():
-    amps = np.zeros(4, dtype=complex)
-    amps[1] = 1.0  # |q1=0, q0=1>
-    state = StateVector(2, amps)
-    assert np.allclose(qcore.site_probabilities(state, [0, 1]), [0, 1, 0, 0])
-    assert np.allclose(qcore.site_probabilities(state, [1, 0]), [0, 0, 1, 0])
+    state = basis(2, 2)
+    assert np.allclose(qcore._site_probs(state, 1), [1.0, 0.0])
+    plus = np.array([0, 0, 1, 1]) / math.sqrt(2)
+    assert np.allclose(qcore._site_probs(plus, 1), [0.5, 0.5])
+    # one marginal per batch column
+    stack = np.stack([state, plus], axis=1)
+    assert np.allclose(qcore._site_probs(stack, 1), [[1.0, 0.5], [0.0, 0.5]])
 
 
 def test_sample_shots_degenerate_distribution():
@@ -177,12 +175,8 @@ def test_sample_shots_on_a_stack_of_rows():
 
 
 def _gate_matrix(gate: Gate, num_qubits: int) -> np.ndarray:
-    dim = 1 << num_qubits
-    cols = []
-    for index in range(dim):
-        state = StateVector.basis_state(num_qubits, index)
-        cols.append(_apply(gate, state).amplitudes)
-    return np.stack(cols, axis=1)
+    """The kernel's matrix: one batched run over the identity's columns."""
+    return _apply(gate, np.eye(1 << num_qubits))
 
 
 @pytest.mark.parametrize(
@@ -190,16 +184,17 @@ def _gate_matrix(gate: Gate, num_qubits: int) -> np.ndarray:
     [
         (Gate.x(0), 2),
         (Gate.ry(0.813, 1), 2),
-        (Gate.rz(-2.1, 0), 2),
+        (Gate.crz(-2.1, (), 0), 2),  # RotZ
         (Gate.crz(1.3, 0, 1), 2),
         (Gate.crz(0.4, (0, 1), 2), 3),
-        (Gate.cnot(1, 0), 2),
+        (Gate(GateKind.PAULI_X, (0,), (1,)), 2),  # controlled NOT
         (Gate.dense(np.array([[0, 1j], [1j, 0]]), (0,)), 2),
     ],
 )
 def test_every_gate_kind_is_unitary(gate, num_qubits):
     u = _gate_matrix(gate, num_qubits)
     assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() < 1e-10
+    assert np.abs(u - gate_matrix(gate, num_qubits)).max() < 1e-15
 
 
 def test_controlled_rotz_acts_only_on_control_one_subspace():
@@ -226,6 +221,7 @@ def test_dense_gate_matches_kron_oracle():
             gj = ((j >> 0) & 1) | (((j >> 2) & 1) << 1)
             oracle[i, j] = q[gi, gj]
     assert np.abs(u - oracle).max() < 1e-12
+    assert np.abs(gate_matrix(gate, 3) - oracle).max() < 1e-15
 
 
 def test_gate_validation_errors():
@@ -233,65 +229,103 @@ def test_gate_validation_errors():
         Gate.crz(0.1, 1, 1)  # control == target
     with pytest.raises(ValueError):
         Gate.dense(np.array([[1.0, 0.0], [1.0, 1.0]]), (0,))  # not unitary
-    state = StateVector.basis_state(1, 0)
     with pytest.raises(ValueError):
-        _apply(Gate.x(3), state)
-    with pytest.raises(ValueError):
-        qcore.run_circuit(QuantumCircuit(2, (Gate.x(0),)), state)
+        QuantumCircuit(1, (Gate.x(3),))
+    # the packer would flip qubit 0 alone, or fail only when packing
+    with pytest.raises(ValueError, match="exactly one target"):
+        Gate(GateKind.PAULI_X, (0, 1))
+    with pytest.raises(ValueError, match="exactly one target"):
+        Gate(GateKind.ROT_Y, (), angle=0.3)
+    # the packer would ignore the controls
+    with pytest.raises(ValueError, match="no controls"):
+        Gate(GateKind.DENSE_UNITARY, (0,), (1,), matrix=np.eye(2, dtype=complex))
 
 
-def test_statevector_rejects_denormalized_input():
-    with pytest.raises(NumericalValidationError):
-        StateVector(1, np.array([1.0, 1.0]))
-    with pytest.raises(NumericalValidationError):
-        StateVector(1, np.array([np.nan, 0.0]))
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from excitonsim import *", namespace)
+    assert [name for name in excitonsim.__all__ if name not in namespace] == []
 
 
 @st.composite
-def random_circuits(draw):
+def random_circuits(draw, n_columns=0):
+    """X, RotY and ControlledRotZ gates with 0-2 controls, and DenseUnitary
+    gates on 1-2 qubits. With n_columns, an angled gate carries one angle
+    per column or, drawn half the time, one shared angle."""
     num_qubits = draw(st.integers(min_value=1, max_value=4))
     angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+    def angle():
+        if n_columns and draw(st.booleans()):
+            return np.array(draw(st.lists(angles, min_size=n_columns, max_size=n_columns)))
+        return draw(angles)
+
     gates = []
     for _ in range(draw(st.integers(0, 12))):
-        q = draw(st.integers(0, num_qubits - 1))
-        kind = draw(st.sampled_from(["x", "ry", "rz", "crz", "cnot"]))
-        if kind in ("crz", "cnot") and num_qubits > 1:
-            other = draw(st.integers(0, num_qubits - 2))
-            other = other if other < q else other + 1
-            if kind == "crz":
-                gates.append(Gate.crz(draw(angles), other, q))
-            else:
-                gates.append(Gate.cnot(other, q))
-        elif kind == "ry":
-            gates.append(Gate.ry(draw(angles), q))
-        elif kind == "rz":
-            gates.append(Gate.rz(draw(angles), q))
-        else:
-            gates.append(Gate.x(q))
+        qubits = draw(st.permutations(range(num_qubits)))
+        kind = draw(st.sampled_from(list(GateKind)))
+        if kind is GateKind.DENSE_UNITARY:
+            dim = 1 << draw(st.integers(1, min(2, num_qubits)))
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            gates.append(Gate.dense(q, qubits[: dim.bit_length() - 1]))
+            continue
+        controls = tuple(qubits[1 : 1 + draw(st.integers(0, min(2, num_qubits - 1)))])
+        theta = None if kind is GateKind.PAULI_X else angle()
+        gates.append(Gate(kind, (qubits[0],), controls, theta))
     return QuantumCircuit(num_qubits, tuple(gates))
+
+
+def _check_against_oracle(circuit, amps):
+    """Norm, determinism, untouched inputs and the kron oracle, for one
+    register shaped (2^n, *batch) with unit-norm columns."""
+    init = amps.copy()
+    packed = [tuple(np.array(part, copy=True) for part in seg[1:]) for seg in circuit.packed()]
+    out1 = run(circuit, amps)
+    out2 = run(circuit, amps)
+    assert out1.shape == amps.shape
+    assert np.abs((np.abs(out1) ** 2).sum(axis=0) - 1.0).max() < 1e-9
+    assert np.array_equal(out1, out2)
+    # the input state and the cached packed circuit must be untouched
+    assert np.array_equal(amps, init)
+    for seg, before in zip(circuit.packed(), packed):
+        assert all(np.array_equal(part, old) for part, old in zip(seg[1:], before))
+    assert np.abs(out1 - oracle_run(circuit, amps)).max() < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_circuits(), st.integers(0, 2**31 - 1))
 def test_random_circuits_preserve_norm_and_are_deterministic(circuit, seed):
+    """Single columns through the kernel match the kron oracle."""
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << circuit.num_qubits) + 1j * rng.normal(size=1 << circuit.num_qubits)
     amps /= np.linalg.norm(amps)
-    init = StateVector(circuit.num_qubits, amps)
-    out1 = qcore.run_circuit(circuit, init)
-    out2 = qcore.run_circuit(circuit, init)
-    assert abs(np.vdot(out1.amplitudes, out1.amplitudes).real - 1.0) < 1e-9
-    assert np.array_equal(out1.amplitudes, out2.amplitudes)
-    # the input state must be untouched
-    assert np.array_equal(init.amplitudes, amps)
+    _check_against_oracle(circuit, amps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_batches_match_kron_oracle(data):
+    """(2^n, P, B) registers with per-column angles match the kron oracle
+    column by column."""
+    n_columns = data.draw(st.integers(1, 4))
+    circuit = data.draw(random_circuits(n_columns))
+    for gate in circuit.gates:
+        if np.ndim(gate.angle):
+            assert gate.angle.shape == (n_columns,) and not gate.angle.flags.writeable
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    shape = (1 << circuit.num_qubits, n_columns, data.draw(st.integers(1, 3)))
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amps /= np.linalg.norm(amps, axis=0)
+    _check_against_oracle(circuit, amps)
 
 
 def test_ancilla_stays_in_one_state():
     h = SystemHamiltonian.near_resonant()
-    init = StateVector.basis_state(2, 2)
+    init = basis(2, 2)
     for t in (0.0, 17.0, 61.5, 123.0, 250.0):
-        state = qcore.run_circuit(build_coherent_circuit(h, t), init)
-        ancilla_zero_mass = np.abs(state.amplitudes[:2]) ** 2
+        state = run(build_coherent_circuit(h, t), init)
+        ancilla_zero_mass = np.abs(state[:2]) ** 2
         assert ancilla_zero_mass.sum() < 1e-12
 
 
@@ -299,12 +333,12 @@ def test_ancilla_stays_in_one_state_through_iterations():
     from excitonsim.circuits import build_iteration_circuit
 
     h = SystemHamiltonian.near_resonant()
-    state = StateVector.basis_state(2, 2)
+    state = basis(2, 2)
     rng = np.random.default_rng(6)
     for _ in range(50):
         signs = rng.choice([0.5, -0.5], size=2)
-        state = qcore.run_circuit(build_iteration_circuit(h, 2.0, signs, 500.0), state)
-    assert (np.abs(state.amplitudes[:2]) ** 2).sum() < 1e-12
+        state = run(build_iteration_circuit(h, 2.0, signs, 500.0), state)
+    assert (np.abs(state[:2]) ** 2).sum() < 1e-12
 
 
 def test_selected_backend_is_reported():
@@ -316,10 +350,10 @@ def test_packed_circuit_is_reused():
     circuit = build_coherent_circuit(h, 25.0)
     first = circuit.packed()
     assert circuit.packed() is first
-    init = StateVector.basis_state(2, 2)
-    out1 = qcore.run_circuit(circuit, init)
-    out2 = qcore.run_circuit(circuit, init)
-    assert np.array_equal(out1.amplitudes, out2.amplitudes)
+    init = basis(2, 2)
+    out1 = run(circuit, init)
+    out2 = run(circuit, init)
+    assert np.array_equal(out1, out2)
 
 
 def _random_ops_segment(rng, num_qubits, n_ops, n_columns):
@@ -361,24 +395,6 @@ def test_batched_execution_matches_column_by_column(num_qubits):
             for b in range(n_states):
                 single = qcore._execute_packed(amps[:, p, b].copy(), num_qubits, column)
                 assert np.abs(batched[:, p, b] - single).max() <= 1e-15
-
-
-@pytest.mark.parametrize("n_patterns", [1, 2, 3])
-def test_single_state_runs_reject_per_pattern_angles(n_patterns):
-    from excitonsim.circuits import build_iteration_circuit
-
-    gate = Gate.crz(np.linspace(0.1, 0.3, n_patterns), 0, 1)
-    assert gate.angle.shape == (n_patterns,) and not gate.angle.flags.writeable
-    signs = np.resize([0.5, -0.5], (n_patterns, 2, 1))
-    batched = build_iteration_circuit(SystemHamiltonian.near_resonant(), 2.0, signs, 300.0)
-    over_times = build_coherent_circuit(SystemHamiltonian.near_resonant(), np.arange(n_patterns) * 1.5)
-    state = StateVector.basis_state(2, 2)
-    with pytest.raises(ValueError, match="pattern"):
-        qcore.run_circuit(QuantumCircuit(2, (Gate.x(0), gate)), state)
-    with pytest.raises(ValueError, match="pattern"):
-        qcore.run_circuit(batched, state)
-    with pytest.raises(ValueError, match="pattern or time"):
-        qcore.run_circuit(over_times, state)
 
 
 @pytest.mark.parametrize("angle", [[0.1, np.nan], [0.1, np.inf], [[0.1, 0.2]], None])

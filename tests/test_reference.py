@@ -155,6 +155,12 @@ def test_rk4_step_halving_consistency():
     assert np.abs(coarse - fine).max() < 1e-8
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, -1e-3])
+def test_lindblad_model_rejects_rates_that_are_not_finite_and_non_negative(rate):
+    with pytest.raises(ValueError, match=f"finite and >= 0, got {rate!r}"):
+        LindbladModel(NEAR, rate)
+
+
 def test_rk4_step_too_large_reported():
     t = np.array([0.0, 400.0])
     with pytest.raises(NumericalValidationError):
