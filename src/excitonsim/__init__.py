@@ -20,11 +20,7 @@ from excitonsim.model import (
 )
 from excitonsim.noise import EnsembleConfig, FluctuatorConfig, generate_trajectory, run_ensemble
 from excitonsim.qcore import Gate, QuantumCircuit, sample_shots
-from excitonsim.reference import (
-    LindbladModel,
-    fit_dephasing_rate,
-    lindblad_integrate,
-)
+from excitonsim.reference import fit_dephasing_rate, lindblad_integrate
 
 __version__ = "0.1.0"
 
@@ -49,7 +45,6 @@ __all__ = [
     "Gate",
     "QuantumCircuit",
     "sample_shots",
-    "LindbladModel",
     "fit_dephasing_rate",
     "lindblad_integrate",
 ]

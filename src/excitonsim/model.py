@@ -138,15 +138,23 @@ def _jacobi_eigh(a: np.ndarray, sweeps: int = 50, tol: float = 1e-14):
     return np.diag(a).copy(), v
 
 
+def _two_site(h: SystemHamiltonian, name: str) -> tuple[float, float, float, float]:
+    """eps0, eps1, J and Omega = hypot(eps0 - eps1, 2J) of a two-site chain;
+    a ValueError saying that ``name`` is defined for two-site chains else."""
+    if h.n_sites != 2:
+        raise ValueError(f"{name} is defined for two-site chains")
+    eps0, eps1 = h.site_energies_cm1
+    j = h.couplings_cm1[0, 1]
+    return eps0, eps1, j, math.hypot(eps0 - eps1, 2.0 * j)
+
+
 def eigendecompose(h: SystemHamiltonian) -> EigenDecomposition:
     """Diagonalize; closed form for two sites, Jacobi iteration otherwise."""
     if h.n_sites == 2:
-        eps0, eps1 = h.site_energies_cm1
-        j = h.couplings_cm1[0, 1]
-        omega = math.hypot(eps0 - eps1, 2.0 * j)
+        eps0, eps1, _, omega = _two_site(h, "eigendecompose")
         mean = 0.5 * (eps0 + eps1)
         energies = np.array([mean + 0.5 * omega, mean - 0.5 * omega])
-        alpha = math.atan2(2.0 * j, eps0 - eps1)
+        alpha = mixing_angle(h)
         c, s = math.cos(0.5 * alpha), math.sin(0.5 * alpha)
         transform = np.array([[c, s], [-s, c]])
         return EigenDecomposition(energies, transform)
@@ -162,10 +170,8 @@ def mixing_angle(h: SystemHamiltonian) -> float:
     basis of the evolution circuits; populations produced that way match
     analytic_populations exactly.
     """
-    if h.n_sites != 2:
-        raise ValueError("mixing_angle is defined for two-site chains")
-    eps0, eps1 = h.site_energies_cm1
-    return math.atan2(2.0 * h.couplings_cm1[0, 1], eps0 - eps1)
+    eps0, eps1, j, _ = _two_site(h, "mixing_angle")
+    return math.atan2(2.0 * j, eps0 - eps1)
 
 
 def analytic_populations(h: SystemHamiltonian, t_fs):
@@ -174,11 +180,7 @@ def analytic_populations(h: SystemHamiltonian, t_fs):
     Accepts scalar or array times; depends only on eps0 - eps1 and J, so it
     is invariant under a constant energy shift.
     """
-    if h.n_sites != 2:
-        raise ValueError("analytic_populations is defined for two-site chains")
-    eps0, eps1 = h.site_energies_cm1
-    j = h.couplings_cm1[0, 1]
-    omega = math.hypot(eps0 - eps1, 2.0 * j)
+    _, _, j, omega = _two_site(h, "analytic_populations")
     t = np.asarray(t_fs, dtype=np.float64)
     if omega * omega == 0.0:  # a splitting too small to square never beats
         p1 = np.zeros_like(t)
@@ -190,10 +192,7 @@ def analytic_populations(h: SystemHamiltonian, t_fs):
 
 def beating_period(h: SystemHamiltonian) -> float:
     """Period 2*pi / (Omega * PHASE_PER_CM1_FS) of the population beating."""
-    if h.n_sites != 2:
-        raise ValueError("beating_period is defined for two-site chains")
-    eps0, eps1 = h.site_energies_cm1
-    omega = math.hypot(eps0 - eps1, 2.0 * h.couplings_cm1[0, 1])
+    omega = _two_site(h, "beating_period")[3]
     if omega * PHASE_PER_CM1_FS == 0.0:
         raise ValueError("degenerate uncoupled system has no beating period")
     return 2.0 * math.pi / (omega * PHASE_PER_CM1_FS)

@@ -188,8 +188,10 @@ def _apply_ops(amps, num_qubits, kinds, targets, cmasks, angles) -> None:
 
     ``amps`` is shaped (2^num_qubits, *batch); every gate acts on the first
     axis. ``angles`` is (n_ops,), or (n_ops, P) with one angle per index of
-    the first batch axis.
+    the first batch axis, which must then have length P.
     """
+    if angles.ndim == 2 and (amps.ndim < 2 or amps.shape[1] != angles.shape[1]):
+        raise ValueError(f"per-pattern angles of shape {angles.shape} do not fit a register of shape {amps.shape}")
     idx = np.arange(amps.shape[0], dtype=np.int64)
     # an angle row broadcasts over the first batch axis
     angle_shape = (-1,) + (1,) * (amps.ndim - 2) if angles.ndim == 2 else ()

@@ -22,7 +22,7 @@ Three independent routes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,13 @@ TRACE_TOL = 1e-9
 POSITIVITY_TOL = -1e-8
 # how far an ensemble population handed to the fit may stray outside [0, 1]
 POPULATION_TOL = 1e-6
+
+# largest RK4 sub-step of the Lindblad integration
+MAX_STEP_FS = 0.5
+# the fit's log-spaced scan runs over these rates, and its golden-section
+# search stops once the bracket is this narrow in log(gamma)
+BRACKET_THZ = (0.1, 500.0)
+LOG_TOL = 1e-3
 
 
 def _density_problem(stack: np.ndarray) -> str | None:
@@ -55,38 +62,19 @@ def _density_problem(stack: np.ndarray) -> str | None:
     return None
 
 
-def check_density_matrices(stack: np.ndarray, t_fs=None) -> None:
+def check_density_matrices(stack: np.ndarray, t_fs) -> None:
     """NumericalValidationError unless every matrix of an (n_points, n, n)
     stack is finite, Hermitian, of unit trace and (tolerantly) positive.
 
     Each check runs once over the whole stack. The error names the first
-    failing point: by its time if ``t_fs`` (one per point) is given, else by
-    its index."""
+    failing point by its time in ``t_fs`` (one per point)."""
     if _density_problem(stack) is None:
         return
     for k in range(len(stack)):
         problem = _density_problem(stack[k : k + 1])
         if problem is not None:
             break
-    where = f"point {k}" if t_fs is None else f"t = {float(t_fs[k])!r} fs"
-    raise NumericalValidationError(f"density matrix at {where} {problem}")
-
-
-@dataclass(frozen=True, eq=False)
-class LindbladModel:
-    """Site-projector dephasing model: jump operators |m><m|, rate in THz."""
-
-    h: SystemHamiltonian
-    gamma_deph_thz: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.gamma_deph_thz) and self.gamma_deph_thz >= 0):
-            raise ValueError(f"gamma_deph_thz must be finite and >= 0, got {self.gamma_deph_thz!r}")
-
-    def liouvillian(self) -> np.ndarray:
-        """Generator acting on row-major vec(rho), in 1/fs."""
-        coherent, dephasing = _generator_parts(self.h)
-        return coherent + (self.gamma_deph_thz * THZ_TO_INV_FS) * dephasing
+    raise NumericalValidationError(f"density matrix at t = {float(t_fs[k])!r} fs {problem}")
 
 
 def _generator_parts(h: SystemHamiltonian) -> tuple[np.ndarray, np.ndarray]:
@@ -103,23 +91,32 @@ def _generator_parts(h: SystemHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     return coherent, dephasing
 
 
-def _rk4_propagator(gens: np.ndarray, span_fs: float, max_step_fs: float) -> np.ndarray:
+def _liouvillian(h: SystemHamiltonian, gamma_deph_thz: float) -> np.ndarray:
+    """Generator of the site-projector dephasing model (jump operators
+    |m><m|, rate in THz) on row-major vec(rho), in 1/fs."""
+    if not (math.isfinite(gamma_deph_thz) and gamma_deph_thz >= 0):
+        raise ValueError(f"gamma_deph_thz must be finite and >= 0, got {gamma_deph_thz!r}")
+    coherent, dephasing = _generator_parts(h)
+    return coherent + (gamma_deph_thz * THZ_TO_INV_FS) * dephasing
+
+
+def _rk4_propagator(gens: np.ndarray, span_fs: float) -> np.ndarray:
     """Matrices that advance vec(rho) by span_fs under each generator of a
-    (G, n^2, n^2) stack: n_sub classical RK4 steps.
+    (G, n^2, n^2) stack: n_sub classical RK4 steps of at most MAX_STEP_FS.
 
     On a constant generator one RK4 step of size h is exactly the degree-4
     Taylor polynomial of A = h*gen, so the span is that polynomial to the
     n_sub-th power (an exponential of gen would be more accurate but would
     not be this integrator, and would move the reported populations).
     """
-    n_sub = max(1, math.ceil(span_fs / max_step_fs - 1e-12))
+    n_sub = max(1, math.ceil(span_fs / MAX_STEP_FS - 1e-12))
     a = (span_fs / n_sub) * gens
     a2 = a @ a
     step = np.eye(gens.shape[-1]) + a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
     return np.linalg.matrix_power(step, n_sub)
 
 
-def _spacing_runs(t_grid_fs, max_step_fs: float) -> tuple[np.ndarray, list[tuple[int, int, float]]]:
+def _spacing_runs(t_grid_fs) -> tuple[np.ndarray, list[tuple[int, int, float]]]:
     """The validated time grid and its runs of equal spacing, as (a, b, span)
     for the points [a, b). A grid from t = 0 leaves its first point, the
     initial state itself, out of every run."""
@@ -129,9 +126,7 @@ def _spacing_runs(t_grid_fs, max_step_fs: float) -> tuple[np.ndarray, list[tuple
     spans = np.diff(t, prepend=0.0)
     if not ((spans[1:] > 0).all() and t[0] >= 0):
         raise ConfigError("time grid must be strictly increasing and non-negative")
-    if not max_step_fs > 0:
-        raise ConfigError("max_step_fs must be positive")
-    if not t[-1] < 2.0**53 * max_step_fs:
+    if not t[-1] < 2.0**53 * MAX_STEP_FS:
         raise ConfigError("time grid needs more than 2^53 RK4 sub-steps")
     first = int(spans[0] == 0.0)
     bounds = sorted({first, t.size, *(np.flatnonzero(spans[1:] != spans[:-1]) + 1).tolist()})
@@ -142,7 +137,6 @@ def _integrate_populations(
     gens: np.ndarray,
     t: np.ndarray,
     runs: list[tuple[int, int, float]],
-    max_step_fs: float,
     checked: slice,
 ) -> np.ndarray:
     """Shared stepping core: rho at every grid point for each generator of a
@@ -170,7 +164,7 @@ def _integrate_populations(
         for a, b, span in runs:
             prop = propagators.get(span)
             if prop is None:
-                prop = propagators[span] = _rk4_propagator(gens, span, max_step_fs)
+                prop = propagators[span] = _rk4_propagator(gens, span)
             out[:, a] = (prop @ (out[:, a - 1, :, None] if a else v[:, None]))[..., 0]
             filled = 1
             while filled < b - a:
@@ -193,38 +187,20 @@ def _integrate_populations(
     return stack
 
 
-def lindblad_integrate(
-    model: LindbladModel,
-    t_grid_fs,
-    max_step_fs: float = 0.5,
-) -> np.ndarray:
+def lindblad_integrate(h: SystemHamiltonian, gamma_deph_thz: float, t_grid_fs) -> np.ndarray:
     """Density matrices from |0><0| on the grid, shape (n_points, n, n);
     every point is invariant-checked, all in one call."""
-    t, runs = _spacing_runs(t_grid_fs, max_step_fs)
-    return _integrate_populations(model.liouvillian()[None], t, runs, max_step_fs, slice(None))[0]
+    t, runs = _spacing_runs(t_grid_fs)
+    return _integrate_populations(_liouvillian(h, gamma_deph_thz)[None], t, runs, slice(None))[0]
 
 
-def lindblad_populations(
-    model: LindbladModel,
-    t_grid_fs,
-    max_step_fs: float = 0.5,
-) -> np.ndarray:
+def lindblad_populations(h: SystemHamiltonian, gamma_deph_thz: float, t_grid_fs) -> np.ndarray:
     """Site populations from |0><0|, shape (n_points, n_sites). The same
     integrator as ``lindblad_integrate``, with the invariants checked only
     at the last point, as the fit checks each of its rates."""
-    t, runs = _spacing_runs(t_grid_fs, max_step_fs)
-    return _site_populations(model.liouvillian()[None], t, runs, max_step_fs)[0]
-
-
-def _site_populations(
-    gens: np.ndarray,
-    t: np.ndarray,
-    runs: list[tuple[int, int, float]],
-    max_step_fs: float,
-) -> np.ndarray:
-    """Site populations for each generator of a stack, (G, n_points, n_sites)."""
-    stack = _integrate_populations(gens, t, runs, max_step_fs, slice(-1, None))
-    return stack.diagonal(axis1=2, axis2=3).real
+    t, runs = _spacing_runs(t_grid_fs)
+    rho = _integrate_populations(_liouvillian(h, gamma_deph_thz)[None], t, runs, slice(-1, None))[0]
+    return rho.diagonal(axis1=1, axis2=2).real
 
 
 def exact_trajectory_series(
@@ -270,36 +246,27 @@ class FitResult:
     gamma_deph_thz: float
     residual_rms: float
     n_evaluations: int
+    # density matrices of the fitted rate on the series' grid, (n_points, n, n),
+    # checked only at the last point, as every rate the fit evaluates is
+    rho: np.ndarray = field(repr=False, compare=False)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def fit_dephasing_rate(
-    t_fs,
-    populations,
-    h: SystemHamiltonian,
-    bracket_thz: tuple[float, float] = (0.1, 500.0),
-    log_tol: float = 1e-3,
-    max_step_fs: float = 0.5,
-) -> FitResult:
-    """Dephasing rate whose Lindblad populations best match the series.
+def fit_dephasing_rate(t_fs, populations, h: SystemHamiltonian) -> FitResult:
+    """Dephasing rate whose Lindblad populations best match the series,
+    with the density matrices of that rate.
 
-    Scans a log-spaced grid over ``bracket_thz`` to bracket the minimum of
-    the summed squared deviation, then refines by golden-section search in
-    log space. A minimum pushed against the upper bracket edge is a
+    Scans a log-spaced grid over BRACKET_THZ to bracket the minimum of the
+    summed squared deviation, then refines by golden-section search in log
+    space to LOG_TOL. A minimum pushed against the upper bracket edge is a
     ValueError; the lower edge is a legitimate answer for effectively
     coherent series. A chain without a beating period, or a series of the
     wrong shape, with non-finite values or populations outside [0, 1],
     shorter than two beating periods or on a grid that is not strictly
-    increasing from t >= 0, is a ConfigError, and so are a bracket other
-    than two finite rates 0 < lo < hi and a log_tol not finite and positive.
+    increasing from t >= 0, is a ConfigError.
     """
-    lo, hi = bracket_thz
-    if not 0.0 < lo < hi < math.inf:
-        raise ConfigError(f"bracket_thz must be finite rates with 0 < lo < hi, got {bracket_thz!r}")
-    if not 0.0 < log_tol < math.inf:
-        raise ConfigError(f"log_tol must be finite and positive, got {log_tol!r}")
     t = np.asarray(t_fs, dtype=np.float64)
     p = np.asarray(populations, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != t.size or p.shape[1] != h.n_sites:
@@ -320,20 +287,23 @@ def fit_dephasing_rate(
     # the generator is coherent + rate * dephasing; both parts and the
     # grid's runs are built once per fit
     coherent, dephasing = _generator_parts(h)
-    t, runs = _spacing_runs(t, max_step_fs)
+    t, runs = _spacing_runs(t)
     evaluations = 0
 
-    # summed squared deviation at each log-rate, all integrated as one stack
-    def objectives(log_gammas) -> list[float]:
+    # summed squared deviation and density matrices at each log-rate, all
+    # integrated as one stack
+    def objectives(log_gammas) -> tuple[list[float], np.ndarray]:
         nonlocal evaluations
         evaluations += len(log_gammas)
         # math.exp, not np.exp: the two differ in the last bit for some rates
         rates = np.array([math.exp(x) * THZ_TO_INV_FS for x in log_gammas])
-        pops = _site_populations(coherent + rates[:, None, None] * dephasing, t, runs, max_step_fs)
-        return [float(((q - p) ** 2).sum()) for q in pops]
+        rhos = _integrate_populations(coherent + rates[:, None, None] * dephasing, t, runs, slice(-1, None))
+        pops = rhos.diagonal(axis1=2, axis2=3).real
+        return [float(((q - p) ** 2).sum()) for q in pops], rhos
 
+    lo, hi = BRACKET_THZ
     grid = np.linspace(math.log(lo), math.log(hi), 17)
-    values = objectives(grid)
+    values, _ = objectives(grid)
     best = int(np.argmin(values))
     if best == len(grid) - 1:
         raise ValueError(
@@ -344,18 +314,16 @@ def fit_dephasing_rate(
 
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = objectives([c, d])
-    # a tolerance finer than the floats can split ends where they stop splitting
-    while b - a > log_tol and a < c < d < b:
+    (fc, fd), (rho_c, rho_d) = objectives([c, d])
+    while b - a > LOG_TOL:
         if fc < fd:
-            b, d, fd = d, c, fc
+            b, d, fd, rho_d = d, c, fc, rho_c
             c = b - _INVPHI * (b - a)
-            (fc,) = objectives([c])
+            (fc,), (rho_c,) = objectives([c])
         else:
-            a, c, fc = c, d, fd
+            a, c, fc, rho_c = c, d, fd, rho_d
             d = a + _INVPHI * (b - a)
-            (fd,) = objectives([d])
-    log_best = c if fc < fd else d
-    sse = min(fc, fd)
+            (fd,), (rho_d,) = objectives([d])
+    log_best, sse, rho = (c, fc, rho_c) if fc < fd else (d, fd, rho_d)
     rms = math.sqrt(sse / p.size)
-    return FitResult(math.exp(log_best), rms, evaluations)
+    return FitResult(math.exp(log_best), rms, evaluations, rho)

@@ -14,7 +14,6 @@ import pytest
 from excitonsim import cli, circuits, model, qcore, reference
 from excitonsim.model import SystemHamiltonian
 from excitonsim.noise import FluctuatorConfig, FluctuatorTrajectory, expand_interval_signs, generate_interval_signs
-from excitonsim.reference import LindbladModel
 
 from conftest import MASTER_SEED, STRENGTHS_CM1, dephasing_config_payload, run_dephasing
 from kron_oracle import basis, run
@@ -230,7 +229,7 @@ def test_criterion_07_lindblad_integrator_properties(dephasing_experiments):
     grid = np.arange(0.0, 601.0, 2.0)
     for g in STRENGTHS_CM1:
         gamma = dephasing_experiments[g]["fit"]["gamma_deph_thz"]
-        series = reference.lindblad_integrate(LindbladModel(NEAR, gamma), grid)
+        series = reference.lindblad_integrate(NEAR, gamma, grid)
         for m in series:
             worst_trace = max(worst_trace, abs(np.trace(m).real - 1.0))
             worst_herm = max(worst_herm, float(np.abs(m - m.conj().T).max()))
@@ -238,7 +237,7 @@ def test_criterion_07_lindblad_integrator_properties(dephasing_experiments):
     reduction = 0.0
     t = np.linspace(0.0, 300.0, 151)
     for h in (NEAR, NON):
-        pops = reference.lindblad_populations(LindbladModel(h, 0.0), t)
+        pops = reference.lindblad_populations(h, 0.0, t)
         p0, p1 = model.analytic_populations(h, t)
         reduction = max(reduction, np.abs(pops - np.column_stack([p0, p1])).max())
     ok = worst_trace < 1e-9 and worst_herm < 1e-10 and worst_eig >= -1e-8 and reduction < 1e-6
@@ -253,7 +252,7 @@ def test_criterion_07_lindblad_integrator_properties(dephasing_experiments):
 
 def test_criterion_08_fit_round_trip():
     t = np.arange(0.0, 601.0, 2.0)
-    synthetic = reference.lindblad_populations(LindbladModel(NEAR, 10.0), t)
+    synthetic = reference.lindblad_populations(NEAR, 10.0, t)
     fit = reference.fit_dephasing_rate(t, synthetic, NEAR)
     ok = abs(fit.gamma_deph_thz - 10.0) <= 0.5
     line = report("8 fit round trip", ok, f"recovered {fit.gamma_deph_thz:.3f} THz for true 10 THz")

@@ -1,6 +1,6 @@
 """End-to-end CLI behaviour: CSV contracts, exit codes, reproducibility."""
 
-import functools
+import dataclasses
 import json
 import math
 import os
@@ -301,11 +301,49 @@ def test_dephasing_rejects_horizon_shorter_than_two_beating_periods(tmp_path, ca
 
 def test_dephasing_unbracketed_fit_is_numerical_failure(tmp_path, capsys, monkeypatch):
     # a g=300 ensemble dephases at ~6.5 THz, above this bracket's upper edge
-    narrow = functools.partial(reference.fit_dephasing_rate, bracket_thz=(0.1, 1.0))
-    monkeypatch.setattr(reference, "fit_dephasing_rate", narrow)
+    monkeypatch.setattr(reference, "BRACKET_THZ", (0.1, 1.0))
     cfg = dephasing_config(tmp_path, ensemble={"runs": 4, "t_max_fs": 260.0})
     assert cli.main(["dephasing", "--config", cfg]) == 3
     assert "bracket" in assert_one_line_error(capsys, "numerical validation failure:")
+
+
+def test_dephasing_takes_its_fit_columns_from_the_fit(tmp_path, capsys, monkeypatch):
+    calls = []
+    integrate = reference._integrate_populations
+
+    def counting(gens, *args):
+        calls.append(len(gens))
+        return integrate(gens, *args)
+
+    def no_second_integration(*args):
+        raise AssertionError("dephasing integrated the fitted rate again")
+
+    monkeypatch.setattr(reference, "_integrate_populations", counting)
+    monkeypatch.setattr(reference, "lindblad_integrate", no_second_integration)
+    cfg = dephasing_config(tmp_path)
+    assert cli.main(["dephasing", "--config", cfg]) == 0
+    capsys.readouterr()
+    # the scan, the opening golden pair and 15 golden steps: the fit's own calls
+    assert len(calls) == 17
+    assert sum(calls) == json.loads((tmp_path / "dephasing.fit.json").read_text())["n_evaluations"]
+
+
+def test_dephasing_checks_every_point_of_the_fitted_rate(tmp_path, capsys, monkeypatch):
+    fit_rate = reference.fit_dephasing_rate
+
+    def fit_losing_positivity(t_fs, populations, h):
+        fit = fit_rate(t_fs, populations, h)
+        rho = fit.rho.copy()
+        rho[60] = np.diag([1.5, -0.5])  # t = 120 fs; the fit checks only the last point
+        return dataclasses.replace(fit, rho=rho)
+
+    monkeypatch.setattr(reference, "fit_dephasing_rate", fit_losing_positivity)
+    cfg = dephasing_config(tmp_path)
+    assert cli.main(["dephasing", "--config", cfg]) == 3
+    err = assert_one_line_error(capsys, "numerical validation failure:")
+    assert "t = 120.0 fs" in err and "lost positivity" in err
+    assert not (tmp_path / "dephasing.csv").exists()
+    assert not (tmp_path / "dephasing.fit.json").exists()
 
 
 def test_dephasing_rejects_runs_too_large_to_allocate(tmp_path, capsys):
@@ -710,9 +748,7 @@ def test_fuzzed_coherent_configs_exit_cleanly(tmp_path, capsys, monkeypatch, con
 # a series the fit accepts: projector-dephasing populations on a 2-fs grid
 # over 300 fs, past the two near-resonant beating periods (246 fs) it needs
 _FIT_T = np.arange(151) * 2.0
-_FIT_POPS = reference.lindblad_populations(
-    reference.LindbladModel(cli.PRESETS["near_resonant"](), 6.0), _FIT_T
-)
+_FIT_POPS = reference.lindblad_populations(cli.PRESETS["near_resonant"](), 6.0, _FIT_T)
 _VALID_FIT_LINES = [
     '# config = {"hamiltonian": {"preset": "near_resonant"}}',
     "t_fs,p0_mean,p1_mean",

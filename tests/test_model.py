@@ -134,6 +134,17 @@ def test_beating_periods():
         model.beating_period(SystemHamiltonian.two_site(12900.0, 12900.0, 0.0))
 
 
+@pytest.mark.parametrize("name", ["mixing_angle", "analytic_populations", "beating_period"])
+def test_closed_forms_refuse_chains_of_more_than_two_sites(name):
+    couplings = np.diag([126.0] * 3, 1) + np.diag([126.0] * 3, -1)
+    chain = SystemHamiltonian([13000.0, 12900.0, 13000.0, 12900.0], couplings)
+    args = (chain, 0.0) if name == "analytic_populations" else (chain,)
+    with pytest.raises(ValueError, match=f"^{name} is defined for two-site chains$"):
+        getattr(model, name)(*args)
+    # the Jacobi branch serves the same chain
+    assert model.eigendecompose(chain).energies_cm1.shape == (4,)
+
+
 def test_estimate_resources_two_sites():
     report = model.estimate_resources(2, fluctuators_per_site=1, t_fs=800.0, dt_fs=2.0)
     assert report["qubits"] == 2

@@ -2,6 +2,7 @@
 marginals and shot sampling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -401,3 +402,18 @@ def test_batched_execution_matches_column_by_column(num_qubits):
 def test_angle_vectors_must_be_finite_and_one_dimensional(angle):
     with pytest.raises(ValueError, match="finite angle"):
         Gate.crz(angle, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "register, n_angles",
+    # no batch axis, with as many angles as amplitudes that would broadcast
+    # silently and with three; a batch axis of the wrong length
+    [((4,), 2), ((4,), 3), ((4, 3), 2)],
+)
+def test_angle_vectors_need_a_batch_axis_of_their_length(register, n_angles):
+    circuit = QuantumCircuit(2, (Gate.crz(np.linspace(0.3, 1.1, n_angles), 0, 1),))
+    amps = np.zeros(register, dtype=np.complex128)
+    amps[0] = 1.0
+    shapes = rf"\(1, {n_angles}\).*{re.escape(str(register))}"
+    with pytest.raises(ValueError, match=shapes):
+        run(circuit, amps)
