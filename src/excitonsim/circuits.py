@@ -15,8 +15,6 @@ from excitonsim.errors import NumericalValidationError
 from excitonsim.model import PHASE_PER_CM1_FS, SystemHamiltonian, mixing_angle
 from excitonsim.qcore import NORM_TOL, Gate, QuantumCircuit, _execute_packed, _site_probs
 
-SIGN_VALUES = (0.5, -0.5)
-
 
 def _selective_phase_gates(values_cm1, scale, system_qubits, ancilla):
     """Phase e^{-i v * scale} on each system basis state m, via select + CRotZ.
@@ -29,10 +27,16 @@ def _selective_phase_gates(values_cm1, scale, system_qubits, ancilla):
         zero_bits = [q for k, q in enumerate(system_qubits) if not (m >> k) & 1]
         for q in zero_bits:
             gates.append(Gate.x(q))
-        gates.append(Gate.crz(-2.0 * float(value) * scale, tuple(system_qubits), ancilla))
+        gates.append(Gate.crz(-2.0 * value * scale, tuple(system_qubits), ancilla))
         for q in zero_bits:
             gates.append(Gate.x(q))
     return gates
+
+
+def coherent_angle(h: SystemHamiltonian, t_fs: float) -> float:
+    """Largest |angle| of the coherent circuit's phase gates at time t_fs; inf on overflow."""
+    energies = h.eigensystem.energies_cm1
+    return 2.0 * float(np.abs(energies - energies.mean()).max()) * (PHASE_PER_CM1_FS * float(t_fs))
 
 
 def _coherent_gates(h: SystemHamiltonian, t_fs):
@@ -89,43 +93,32 @@ def coherent_site_populations(h: SystemHamiltonian, t_grid_fs) -> np.ndarray:
 
 
 def build_iteration_circuit(
-    h: SystemHamiltonian, dt_fs: float, signs, strengths_cm1
+    h: SystemHamiltonian, dt_fs: float, site_sums, strengths_cm1
 ) -> QuantumCircuit:
     """One Trotter step: coherent evolution over dt, then fluctuator phases.
 
-    ``signs`` holds the fluctuator values xi in {+1/2, -1/2}, shaped
-    (n_sites,) or (n_sites, fluctuators_per_site); ``strengths_cm1`` is the
-    per-site coupling g (scalar broadcasts). Site m picks up the phase
-    e^{-i xi g k dt} for each of its fluctuators.
+    ``site_sums`` holds each site's sum s of its fluctuator values xi in
+    {+1/2, -1/2}, shaped (n_sites,): finite multiples of 1/2. ``strengths_cm1``
+    is the per-site coupling g (scalar broadcasts). Site m picks up the phase
+    e^{-i s g k dt}; its fluctuators' phase gates commute, so one
+    controlled-RotZ per site applies their product.
 
-    Signs shaped (P, n_sites, fluctuators_per_site) stack P sign patterns
-    into one circuit whose fluctuator gates carry (P,) angle vectors; it runs
-    only on a pattern-batched register (``qcore._execute_packed``).
+    Sums shaped (P, n_sites) stack P patterns into one circuit whose
+    fluctuator gates carry (P,) angle vectors; it runs only on a
+    pattern-batched register (``qcore._execute_packed``).
     """
     if dt_fs <= 0:
         raise ValueError("dt_fs must be positive")
-    xi = np.asarray(signs, dtype=np.float64)
-    if xi.ndim == 1:
-        xi = xi[:, None]
-    if xi.ndim not in (2, 3) or xi.shape[-2] != h.n_sites:
-        raise ValueError(f"need one sign row per site, got shape {xi.shape}")
-    if not np.isin(xi, SIGN_VALUES).all():
-        raise ValueError("fluctuator signs must be +1/2 or -1/2")
+    sums = np.asarray(site_sums, dtype=np.float64)
+    if sums.ndim not in (1, 2) or sums.shape[-1] != h.n_sites:
+        raise ValueError(f"need one fluctuator sum per site, got shape {sums.shape}")
+    if not (np.isfinite(sums) & (2.0 * sums == np.round(2.0 * sums))).all():
+        raise ValueError("fluctuator sums must be finite multiples of 1/2")
     g = np.broadcast_to(np.asarray(strengths_cm1, dtype=np.float64), (h.n_sites,))
     if (g < 0).any():
         raise ValueError("fluctuation strengths must be non-negative")
 
-    gates = _coherent_gates(h, dt_fs)
     n_sys = h.n_system_qubits
-    system = tuple(range(n_sys))
-    ancilla = n_sys
-    scale = PHASE_PER_CM1_FS * dt_fs
-    for m in range(h.n_sites):
-        zero_bits = [q for k, q in enumerate(system) if not (m >> k) & 1]
-        for q in zero_bits:
-            gates.append(Gate.x(q))
-        for f in range(xi.shape[-1]):
-            gates.append(Gate.crz(-2.0 * xi[..., m, f] * g[m] * scale, system, ancilla))
-        for q in zero_bits:
-            gates.append(Gate.x(q))
+    gates = _coherent_gates(h, dt_fs)
+    gates.extend(_selective_phase_gates((sums * g).T, PHASE_PER_CM1_FS * dt_fs, range(n_sys), n_sys))
     return QuantumCircuit(n_sys + 1, gates)

@@ -235,7 +235,11 @@ def cmd_coherent(args) -> int:
         raise ConfigError(f"shots must be between 0 and {noise.MAX_SHOTS}")
     if seed < 0:
         raise ConfigError("master_seed must be non-negative")
-    n = noise.exact_steps(t_max, step, "t_max_fs")
+    n = model.exact_steps(t_max, step, "t_max_fs")
+    if not math.isfinite(circuits.coherent_angle(h, n * step)):
+        raise ConfigError(
+            f"t_max_fs={t_max} overflows a phase angle of the hamiltonian {h.matrix().tolist()}"
+        )
     columns = ["t_fs", "p0_analytic", "p1_analytic", "p0_circuit", "p1_circuit"]
     if shots > 0:
         columns += ["p0_sampled", "p1_sampled"]
@@ -294,6 +298,7 @@ def cmd_dephasing(args) -> int:
     )
     # surface what would fail the ensemble or the fit before doing any work
     noise.check_ensemble_memory(noise_cfg, ens)
+    noise.check_phase_angles(h, noise_cfg, ens.dt_fs)
     try:
         period = model.beating_period(h)
     except ValueError as exc:

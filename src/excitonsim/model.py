@@ -19,8 +19,26 @@ from functools import cached_property
 
 import numpy as np
 
+from excitonsim.errors import ConfigError
+
 SPEED_OF_LIGHT_CM_PER_FS = 2.99792458e-5
 PHASE_PER_CM1_FS = 2.0 * math.pi * SPEED_OF_LIGHT_CM_PER_FS
+_DIVISIBILITY_RTOL = 1e-9
+
+
+def exact_steps(span: float, step: float, what: str, least: int = 0) -> int:
+    """The whole number (at least ``least``) of steps in ``span``, else a
+    ConfigError naming ``what`` and the nearest step that divides it."""
+    if not math.isfinite(span / step):
+        raise ConfigError(
+            f"{what}: {span} over a step of {step} does not give a finite step count"
+        )
+    n = int(round(span / step))
+    if n < least or abs(n * step - span) > _DIVISIBILITY_RTOL * max(abs(span), step):
+        raise ConfigError(
+            f"{what}: {span} is not an integer multiple of {step} (nearest dividing step: {span / max(1, n)})"
+        )
+    return n
 
 
 def _as_readonly(a, dtype=np.float64):
@@ -204,11 +222,12 @@ def estimate_resources(
     """Qubit count, iteration count and per-iteration gate tallies, as a
     JSON-ready dict.
 
-    The qubit figure follows the 2*log2(N) accounting of the underlying
-    algorithm; register_qubits is what this package's simulator actually
-    allocates (log2(N) system qubits plus one reused ancilla). RotZ and
-    ControlledNot belong to the paper's gate set; no circuit here uses
-    them, so their tallies are always zero.
+    The qubit figure follows the algorithm's 2*log2(N) accounting;
+    register_qubits is what the simulator allocates (log2(N) system qubits
+    plus one reused ancilla). ControlledRotZ is the paper's one gate per
+    energy and per fluctuator, N*(1 + F); the simulator applies a site's
+    commuting fluctuator gates as one. RotZ and ControlledNot belong to the
+    paper's gate set; no circuit here uses them, so their tallies are zero.
     """
     if n_sites < 2 or n_sites & (n_sites - 1):
         raise ValueError(f"n_sites must be a power of two >= 2, got {n_sites}")
@@ -218,13 +237,7 @@ def estimate_resources(
         raise ValueError(f"dt_fs must be finite and positive, got {dt_fs}")
     if t_fs < 0:
         raise ValueError("t_fs must be non-negative")
-    if not math.isfinite(t_fs / dt_fs):
-        raise ValueError(
-            f"t_fs={t_fs} over dt_fs={dt_fs} does not give a finite iteration count"
-        )
-    iterations = int(round(t_fs / dt_fs))
-    if abs(iterations * dt_fs - t_fs) > 1e-9 * max(t_fs, dt_fs):
-        raise ValueError(f"t_fs={t_fs} is not a multiple of dt_fs={dt_fs}")
+    iterations = exact_steps(t_fs, dt_fs, "t_fs")
     q = n_sites.bit_length() - 1
     f = fluctuators_per_site
     # X gates select each basis state before/after its controlled rotation:

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from excitonsim.circuits import build_iteration_circuit
+from excitonsim.circuits import build_iteration_circuit, coherent_angle
 from excitonsim.errors import ConfigError, NumericalValidationError
-from excitonsim.model import SystemHamiltonian
+from excitonsim.model import PHASE_PER_CM1_FS, SystemHamiltonian, exact_steps
 from excitonsim.qcore import _execute_packed
 
-_DIVISIBILITY_RTOL = 1e-9
 # probability an iteration circuit may move out of the ancilla-|1> half
 _LEAK_TOL = 1e-12
 # numpy's multinomial sampler counts in int64
@@ -48,36 +47,36 @@ def check_memory(need: int, what: str) -> None:
 
 def check_ensemble_memory(noise_cfg: "FluctuatorConfig", ens: "EnsembleConfig") -> None:
     """ConfigError if the ensemble's largest arrays would not fit in physical
-    memory: the per-run shot frequencies, float64 of shape (runs, n_steps + 1,
-    n_sites), one run's sign bits, int64 of shape (n_sites, F, intervals),
-    and the packed sign patterns of all runs, one bit per sign and interval.
+    memory: the per-run shot frequencies, float64 (runs, n_steps + 1, n_sites),
+    one run's sign bits, int64 (n_sites, F, intervals), and all runs' pattern
+    keys, (runs, intervals, n_sites) counts in the smallest dtype that holds F.
 
     The budget holds one copy of the frequencies. A serial ensemble peaks at
     about 1.2 times their bytes, because the standard error is formed in
     their own buffer; joining the blocks of ``workers > 1`` holds two copies."""
-    n_signs = noise_cfg.n_sites * noise_cfg.fluctuators_per_site
+    f = noise_cfg.fluctuators_per_site
     n_intervals = max(-(-ens.n_steps // noise_cfg.switch_interval_steps(ens.dt_fs)), 1)
-    need = (
-        ens.runs * (ens.n_steps + 1) * noise_cfg.n_sites * 8
-        + n_signs * n_intervals * 8
-        + ens.runs * n_intervals * -(-n_signs // 8)
+    need = noise_cfg.n_sites * (
+        ens.runs * (ens.n_steps + 1) * 8
+        + f * n_intervals * 8
+        + ens.runs * n_intervals * np.min_scalar_type(f).itemsize
     )
     check_memory(
         need,
         f"runs={ens.runs} with {noise_cfg.fluctuators_per_site} fluctuators per site "
-        "(per-run frequencies and sign patterns)",
+        "(per-run frequencies and pattern keys)",
     )
 
 
-def exact_steps(span: float, step: float, what: str) -> int:
-    if not math.isfinite(span / step):
+def check_phase_angles(h: SystemHamiltonian, noise_cfg: "FluctuatorConfig", dt_fs: float) -> None:
+    """ConfigError if an iteration circuit's phase angles could overflow the
+    float range. The bound is the largest summed fluctuator angle,
+    F * max(g) * 2 pi c * dt, plus the largest coherent angle at dt."""
+    f, g = noise_cfg.fluctuators_per_site, float(noise_cfg.strengths_cm1.max())
+    if not math.isfinite(f * g * (PHASE_PER_CM1_FS * dt_fs) + coherent_angle(h, dt_fs)):
         raise ConfigError(
-            f"{what}: {span} over a step of {step} does not give a finite step count"
+            f"strength_cm1={g}, fluctuators_per_site={f} and dt_fs={dt_fs} overflow a phase angle"
         )
-    n = int(round(span / step))
-    if n < 0 or abs(n * step - span) > _DIVISIBILITY_RTOL * max(abs(span), step):
-        raise ConfigError(f"{what}: {span} is not an integer multiple of {step}")
-    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,25 +116,10 @@ class FluctuatorConfig:
         return 1e3 / self.switching_rate_thz
 
     def switch_interval_steps(self, dt_fs: float) -> int:
-        """Iterations per fluctuator interval; dt must divide the waiting time.
-
-        The error names the nearest step that does.
-        """
+        """Iterations per fluctuator interval; dt must divide the waiting time."""
         if dt_fs <= 0:
             raise ConfigError("dt_fs must be positive")
-        waiting = self.waiting_time_fs
-        if not math.isfinite(waiting / dt_fs):
-            raise ConfigError(
-                f"the fluctuator waiting time {waiting} fs over dt_fs={dt_fs} "
-                "does not give a finite step count"
-            )
-        steps = int(round(waiting / dt_fs))
-        if steps < 1 or abs(steps * dt_fs - waiting) > _DIVISIBILITY_RTOL * max(waiting, dt_fs):
-            raise ConfigError(
-                f"dt_fs={dt_fs} does not divide the fluctuator waiting time "
-                f"{waiting} fs; nearest valid dt_fs is {waiting / max(1, steps)}"
-            )
-        return steps
+        return exact_steps(self.waiting_time_fs, dt_fs, "the fluctuator waiting time (fs)", least=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,20 +225,19 @@ def _step_unitaries(
     dt_fs: float,
     patterns: np.ndarray,
 ) -> np.ndarray:
-    """System unitary of each sign pattern's iteration circuit, (P, D, D).
+    """System unitary of each pattern's iteration circuit, (P, D, D).
 
-    The patterns differ only in the angles of the fluctuator gates, so one
-    circuit built over all of them runs in one execution on a (2D, P, D)
-    block: column m of pattern p starts as |m>_sys (x) |1>_anc. The circuit
-    must leave the ancilla in |1>, so its |0> half is checked to stay empty.
+    The (P, n_sites) per-site sums differ only in the fluctuator gates'
+    angles, so one circuit built over all of them runs in one execution on
+    a (2D, P, D) block: column m of pattern p starts as |m>_sys (x) |1>_anc.
+    It must leave the ancilla in |1>, so its |0> half is checked to stay empty.
     """
     n_sys = h.n_system_qubits
     dim = 1 << n_sys
     n_patterns = len(patterns)
     if n_patterns == 0:
         return np.empty((0, dim, dim), dtype=np.complex128)
-    signs = patterns.reshape(n_patterns, noise_cfg.n_sites, noise_cfg.fluctuators_per_site)
-    circuit = build_iteration_circuit(h, dt_fs, signs, noise_cfg.strengths_cm1)
+    circuit = build_iteration_circuit(h, dt_fs, patterns, noise_cfg.strengths_cm1)
     amps = np.zeros((2 * dim, n_patterns, dim), dtype=np.complex128)
     amps[dim:] = np.eye(dim)[:, None, :]
     amps = _execute_packed(amps, n_sys + 1, circuit.packed())
@@ -263,7 +246,7 @@ def _step_unitaries(
     if leaked.size:
         p, m = leaked[0]
         raise NumericalValidationError(
-            f"sign pattern {patterns[p].tolist()}: basis state {m} leaked "
+            f"fluctuator sums {patterns[p].tolist()}: basis state {m} leaked "
             f"{float(leak[p, m])!r} into the ancilla-|0> half"
         )
     return np.ascontiguousarray(amps[dim:].transpose(1, 0, 2))
@@ -272,23 +255,24 @@ def _step_unitaries(
 def _sign_patterns(
     noise_cfg: FluctuatorConfig, ens: EnsembleConfig, run_indices: range
 ) -> tuple[np.ndarray, np.ndarray, list]:
-    """Distinct sign patterns of a block of runs, and where each run uses them.
+    """Distinct per-site fluctuator sums of a block of runs, and where each run uses them.
 
-    Returns ``patterns`` (P, n_sites * F) of +-1/2, site-major and sorted
-    lexicographically; ``pattern_index`` (runs, intervals), so that run k
-    holds ``patterns[pattern_index[k, i // interval]]`` at step i; and each
-    run's shot seed. Run r draws its interval bits from the first child of
-    SeedSequence([master_seed, r]) exactly as ``generate_interval_signs``
-    does, without expanding them to steps. Each interval's bits are packed
-    big-endian into bytes, and one packed row is one void item, so the 1-D
-    sort that finds the distinct items orders them as the sign rows would
-    sort, at any number of bits.
+    Returns ``patterns`` (P, n_sites), each site's sum of its fluctuators'
+    +-1/2 values, sorted lexicographically; ``pattern_index`` (runs,
+    intervals), so that run k holds ``patterns[pattern_index[k, i // interval]]``
+    at step i; and each run's shot seed. Run r draws its interval bits from
+    the first child of SeedSequence([master_seed, r]) exactly as
+    ``generate_interval_signs`` does. Each interval's bits are counted per
+    site in the smallest unsigned dtype that holds F, big-endian, and one
+    interval's row of counts is one void item, so the 1-D sort that finds
+    the distinct items orders them as the rows of sums (count - F/2) sort.
     """
     interval = noise_cfg.switch_interval_steps(ens.dt_fs)
     n_intervals = -(-ens.n_steps // interval)
-    n_signs = noise_cfg.n_sites * noise_cfg.fluctuators_per_site
-    width = -(-n_signs // 8)
-    packed = np.empty((len(run_indices), n_intervals, width), dtype=np.uint8)
+    n_sites = noise_cfg.n_sites
+    f = noise_cfg.fluctuators_per_site
+    key_dtype = np.min_scalar_type(f).newbyteorder(">")
+    counts = np.empty((len(run_indices), n_intervals, n_sites), dtype=key_dtype)
     shot_seeds = []
     for k, r in enumerate(run_indices):
         # the two children .spawn(2) would make, without hashing the parent
@@ -296,14 +280,14 @@ def _sign_patterns(
             np.random.SeedSequence([ens.master_seed, r], spawn_key=(i,)) for i in (0, 1)
         )
         shot_seeds.append(shot_ss)
-        bits = np.random.default_rng(traj_ss).integers(
-            0, 2, size=(noise_cfg.n_sites, noise_cfg.fluctuators_per_site, max(n_intervals, 1))
-        )
-        packed[k] = np.packbits(bits.reshape(n_signs, -1)[:, :n_intervals].T, axis=1)
+        # no name keeps a run's bits, so one run's are held at a time
+        rng = np.random.default_rng(traj_ss)
+        counts[k] = rng.integers(0, 2, size=(n_sites, f, max(n_intervals, 1))).sum(axis=1)[:, :n_intervals].T
+    width = n_sites * key_dtype.itemsize
     codes, inverse = np.unique(
-        packed.view(np.dtype((np.void, width))).reshape(-1), return_inverse=True
+        counts.view(np.dtype((np.void, width))).reshape(-1), return_inverse=True
     )
-    patterns = np.unpackbits(codes.view(np.uint8).reshape(-1, width), axis=1, count=n_signs) - 0.5
+    patterns = codes.view(key_dtype).reshape(-1, n_sites) - f / 2
     pattern_index = inverse.astype(np.int32).reshape(len(run_indices), n_intervals)
     return patterns, pattern_index, shot_seeds
 
@@ -316,7 +300,7 @@ def _run_frequencies(
 ) -> np.ndarray:
     """Shot frequencies for a block of runs, shape (runs, n_steps + 1, n_sites).
 
-    The block's distinct fluctuator sign patterns are compiled to their
+    The block's distinct per-site fluctuator sums are compiled to their
     step unitaries through one circuit, and all runs advance together: each
     run's step unitary is gathered once per switch interval and applied once
     per step. Run r draws its trajectory and its shots from the two children
@@ -374,6 +358,7 @@ def run_ensemble(
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     check_ensemble_memory(noise_cfg, ens)
+    check_phase_angles(h, noise_cfg, ens.dt_fs)
     n_blocks = min(workers, ens.runs)
     bounds = [ens.runs * b // n_blocks for b in range(n_blocks + 1)]
     blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

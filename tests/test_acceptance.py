@@ -130,7 +130,8 @@ def test_criterion_04_trotter_order():
             stride = int(round(2.0 / dt))
             worst = 0.0
             for i in range(n_steps):
-                circuit = circuits.build_iteration_circuit(NEAR, dt, signs[:, :, i], cfg.strengths_cm1)
+                sums = signs[:, :, i].sum(axis=-1)
+                circuit = circuits.build_iteration_circuit(NEAR, dt, sums, cfg.strengths_cm1)
                 state = run(circuit, state)
                 if (i + 1) % stride == 0:
                     probs = qcore._site_probs(state, 1)

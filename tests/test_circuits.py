@@ -11,7 +11,7 @@ from excitonsim.model import SystemHamiltonian
 from excitonsim.noise import FluctuatorConfig, FluctuatorTrajectory, expand_interval_signs, generate_interval_signs
 from excitonsim.reference import exact_trajectory_series
 
-from kron_oracle import basis, gate_count, oracle_run, run
+from kron_oracle import basis, circuit_matrix, gate_count, oracle_run, run
 
 K = 2.0 * math.pi * 2.99792458e-5
 
@@ -120,7 +120,8 @@ def _max_error_vs_exact(h, cfg, interval_signs, dt, total_fs):
     worst = 0.0
     compare_stride = int(round(2.0 / dt))
     for i in range(n_steps):
-        circuit = circuits.build_iteration_circuit(h, dt, signs[:, :, i], cfg.strengths_cm1)
+        sums = signs[:, :, i].sum(axis=-1)
+        circuit = circuits.build_iteration_circuit(h, dt, sums, cfg.strengths_cm1)
         state = run(circuit, state)
         if (i + 1) % compare_stride == 0:
             probs = qcore._site_probs(state, 1)
@@ -163,7 +164,8 @@ def test_iteration_gate_tally_matches_resource_report():
     for kind, value in report4["per_iteration"].items():
         assert counts4.get(kind, 0) == value
 
-    it42 = circuits.build_iteration_circuit(h4, 2.0, np.resize([0.5, -0.5, -0.5], (4, 2)), 300.0)
+    signs42 = np.resize([0.5, -0.5, -0.5], (4, 2))
+    it42 = circuits.build_iteration_circuit(h4, 2.0, signs42.sum(axis=-1), 300.0)
     report42 = model.estimate_resources(4, 2, 2.0, 2.0)
     assert report42["per_iteration"] == {
         "PauliX": 16,
@@ -173,9 +175,13 @@ def test_iteration_gate_tally_matches_resource_report():
         "ControlledNot": 0,
         "DenseUnitary": 2,
     }
+    # the report keeps the paper's one ControlledRotZ per fluctuator; the
+    # circuit applies a site's commuting fluctuator phases as one
     counts42 = gate_count(it42)
+    assert counts42["ControlledRotZ"] == 2 * 4
     for kind, value in report42["per_iteration"].items():
-        assert counts42.get(kind, 0) == value
+        if kind != "ControlledRotZ":
+            assert counts42.get(kind, 0) == value
 
 
 def test_gate_count_empty_and_doubling():
@@ -195,9 +201,11 @@ def test_iteration_rejects_bad_signs():
 
 
 def test_multi_fluctuator_signs_accepted():
-    it = circuits.build_iteration_circuit(NEAR, 2.0, [[0.5, -0.5], [0.5, 0.5]], 100.0)
-    counts = gate_count(it)
-    assert counts["ControlledRotZ"] == 2 + 4  # two energies, two sites x two fluctuators
+    for n_fluct in (1, 2, 1000):
+        signs = np.random.default_rng(n_fluct).choice([0.5, -0.5], size=(2, n_fluct))
+        it = circuits.build_iteration_circuit(NEAR, 2.0, signs.sum(axis=-1), 100.0)
+        counts = gate_count(it)
+        assert counts["ControlledRotZ"] == 2 + 2  # two energies, one fluctuator gate per site
 
 
 def test_circuit_records_dump():
@@ -249,7 +257,7 @@ def test_pattern_batched_build_matches_single_pattern_builds(n_sites, n_fluct):
         j = np.diag(np.full(3, 126.0), 1)
         h = SystemHamiltonian(np.array([13000.0, 12900.0, 13000.0, 12900.0]), j + j.T)
     patterns = np.array(list(itertools.product([0.5, -0.5], repeat=n_sites * n_fluct)))
-    patterns = patterns.reshape(-1, n_sites, n_fluct)
+    patterns = patterns.reshape(-1, n_sites, n_fluct).sum(axis=-1)
     strengths = np.linspace(100.0, 400.0, n_sites)
     batched = circuits.build_iteration_circuit(h, 2.0, patterns, strengths)
     singles = [circuits.build_iteration_circuit(h, 2.0, p, strengths) for p in patterns]
@@ -271,3 +279,38 @@ def test_pattern_batched_build_matches_single_pattern_builds(n_sites, n_fluct):
             columns = np.stack([s[4] for s in single_segs], axis=1)
             shared = seg[4].reshape(len(seg[4]), -1)
             assert np.array_equal(np.broadcast_to(shared, columns.shape), columns)
+
+
+def per_fluctuator_circuit(h, dt, signs, strengths):
+    """The paper's iteration circuit for (P, n_sites, F) signs: the coherent
+    step, then one controlled-RotZ per fluctuator, each site's between the X
+    gates that select its basis state."""
+    n_sys = h.n_system_qubits
+    system = tuple(range(n_sys))
+    scale = model.PHASE_PER_CM1_FS * dt
+    gates = list(circuits.build_coherent_circuit(h, dt).gates)
+    for m in range(h.n_sites):
+        flips = [qcore.Gate.x(q) for q in system if not (m >> q) & 1]
+        gates += flips
+        for f in range(signs.shape[-1]):
+            gates.append(qcore.Gate.crz(-2.0 * signs[:, m, f] * strengths[m] * scale, system, n_sys))
+        gates += flips
+    return qcore.QuantumCircuit(n_sys + 1, gates)
+
+
+@pytest.mark.parametrize(
+    "n_sites, n_fluct, bound", [(2, 1, 0.0), (4, 1, 0.0), (2, 3, 1e-15), (4, 2, 1e-15)]
+)
+def test_summed_circuit_matches_the_per_fluctuator_circuit(n_sites, n_fluct, bound):
+    """One gate per site with the summed angle against the paper's gate per
+    fluctuator, over every sign pattern, both as kron-oracle matrices."""
+    h = NEAR if n_sites == 2 else _chain4()
+    signs = np.array(list(itertools.product([0.5, -0.5], repeat=n_sites * n_fluct)))
+    signs = signs.reshape(-1, n_sites, n_fluct)
+    strengths = np.linspace(100.0, 400.0, n_sites)
+    summed = circuits.build_iteration_circuit(h, 2.0, signs.sum(axis=-1), strengths)
+    paper = per_fluctuator_circuit(h, 2.0, signs, strengths)
+    assert gate_count(paper)["ControlledRotZ"] - gate_count(summed)["ControlledRotZ"] == (
+        n_sites * (n_fluct - 1)
+    )
+    assert np.abs(circuit_matrix(summed) - circuit_matrix(paper)).max() <= bound

@@ -486,6 +486,30 @@ def test_step_counts_beyond_a_float_are_config_errors(tmp_path, capsys, command,
     assert not (tmp_path / f"{command}.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["coherent", "dephasing"])
+def test_phase_angles_beyond_a_float_are_config_errors(tmp_path, capsys, monkeypatch, command):
+    """A phase angle that would overflow fails before any draw or file."""
+    if command == "coherent":
+        payload = {
+            "hamiltonian": {"matrix": [[1e6, 0.5], [0.5, -1e6]]},
+            "ensemble": {"t_max_fs": 1e308, "step_fs": 1e308},
+        }
+        named = ("t_max_fs", "1000000.0")
+    else:
+        payload = {
+            "hamiltonian": {"preset": "near_resonant"},
+            "noise": {"strength_cm1": 1e308, "switching_rate_thz": 0.1},
+            "ensemble": {"runs": 1, "shots": 1, "dt_fs": 1e4, "t_max_fs": 2e4},
+        }
+        named = ("strength_cm1", "fluctuators_per_site", "dt_fs")
+        monkeypatch.setattr(cli.noise, "_sign_patterns", None)
+    payload["output"] = {"directory": str(tmp_path / "out")}
+    assert cli.main([command, "--config", write_config(tmp_path, payload)]) == 2
+    err = assert_one_line_error(capsys, "config error:")
+    assert "phase angle" in err and all(name in err for name in named), err
+    assert not (tmp_path / "out").exists()
+
+
 def fit_csv(tmp_path: Path, rows) -> str:
     lines = ['# config = {"hamiltonian": {"preset": "near_resonant"}}', "t_fs,p0_mean,p1_mean"]
     lines += [",".join(str(cell) for cell in row) for row in rows]

@@ -190,7 +190,8 @@ def test_ancilla_leak_in_iteration_circuit_is_rejected(monkeypatch):
 def test_step_unitaries_match_per_column_circuit_runs():
     h = four_site_chain()
     cfg = FluctuatorConfig.uniform(300.0, 4, 125.0, fluctuators_per_site=2)
-    patterns = np.array(list(itertools.product([0.5, -0.5], repeat=8)))
+    signs = np.array(list(itertools.product([0.5, -0.5], repeat=8)))
+    patterns = signs.reshape(-1, 4, 2).sum(axis=-1)
     unitaries = noise._step_unitaries(h, cfg, 2.0, patterns)
     assert unitaries.shape == (256, 4, 4)
 
@@ -198,14 +199,14 @@ def test_step_unitaries_match_per_column_circuit_runs():
     dim = 1 << n_sys
     worst = 0.0
     for pattern, u in zip(patterns, unitaries):
-        circuit = noise.build_iteration_circuit(h, 2.0, pattern.reshape(4, 2), cfg.strengths_cm1)
+        circuit = noise.build_iteration_circuit(h, 2.0, pattern, cfg.strengths_cm1)
         for m in range(dim):
             column = run(circuit, basis(n_sys + 1, dim | m))[dim:]
             worst = max(worst, np.abs(u[:, m] - column).max())
     assert worst <= 1e-14
     # the pattern-batched circuit's kron-oracle matrix keeps the ancilla at
     # |1>, and its |1>-block is each pattern's step unitary
-    batched = noise.build_iteration_circuit(h, 2.0, patterns.reshape(-1, 4, 2), cfg.strengths_cm1)
+    batched = noise.build_iteration_circuit(h, 2.0, patterns, cfg.strengths_cm1)
     oracle = circuit_matrix(batched)
     assert np.abs(oracle[:, dim:, dim:] - unitaries).max() <= 1e-14
     assert np.abs(oracle[:, :dim, dim:]).max() <= 1e-14
@@ -216,9 +217,11 @@ def test_step_unitaries_match_per_column_circuit_runs():
 @pytest.mark.parametrize(
     "n_sites, per_site, t_max_fs",
     [
-        (2, 1, 120.0),  # 2 bits
-        (4, 2, 120.0),  # 8 bits, one full byte
-        (2, 40, 120.0),  # 80 bits, wider than any integer code
+        (2, 1, 120.0),  # 1-byte key of 2 counts
+        (4, 2, 120.0),  # 4 sites
+        (2, 40, 120.0),  # 80 signs per interval
+        (2, 300, 120.0),  # 2-byte key: F does not fit in a byte
+        (2, 512, 120.0),  # 2-byte key whose counts straddle 256
         (2, 3, 102.0),  # 51 steps: the last interval is cut short
         (2, 3, 0.0),  # no steps, no intervals
     ],
@@ -229,23 +232,20 @@ def test_sign_patterns_match_generated_trajectories(n_sites, per_site, t_max_fs)
     runs = range(3, 12)
     patterns, pattern_index, shot_seeds = noise._sign_patterns(cfg, ens, runs)
     interval = cfg.switch_interval_steps(ens.dt_fs)
-    n_signs = n_sites * per_site
-    assert patterns.shape[1] == n_signs and pattern_index.dtype == np.int32
+    assert patterns.shape[1] == n_sites and pattern_index.dtype == np.int32
     assert pattern_index.shape == (len(runs), -(-ens.n_steps // interval))
 
     rows = []
     for k, r in enumerate(runs):
         traj_ss, shot_ss = np.random.SeedSequence([ens.master_seed, r]).spawn(2)
         assert shot_seeds[k].spawn_key == shot_ss.spawn_key
-        signs = noise.generate_trajectory(cfg, ens.n_steps, ens.dt_fs, traj_ss).signs
+        sums = noise.generate_trajectory(cfg, ens.n_steps, ens.dt_fs, traj_ss).signs.sum(axis=1)
         for i in range(ens.n_steps):
-            assert np.array_equal(
-                patterns[pattern_index[k, i // interval]], signs[:, :, i].reshape(-1)
-            )
-        rows.append(signs[:, :, ::interval].reshape(n_signs, -1).T)
-    # the distinct sign rows, sorted as np.unique sorts them
+            assert np.array_equal(patterns[pattern_index[k, i // interval]], sums[:, i])
+        rows.append(sums[:, ::interval].T)
+    # the distinct rows of per-site sums, sorted as np.unique sorts them
     expected, inverse = np.unique(
-        np.concatenate(rows).reshape(-1, n_signs), axis=0, return_inverse=True
+        np.concatenate(rows).reshape(-1, n_sites), axis=0, return_inverse=True
     )
     assert np.array_equal(patterns, expected)
     assert np.array_equal(pattern_index.reshape(-1), inverse.reshape(-1))
@@ -321,6 +321,21 @@ def test_ensemble_peak_memory_is_near_one_copy_of_the_frequencies():
     assert result.p_mean.shape == (301, 2)
     # about 1.2x: the standard error is formed in the frequencies' own buffer
     assert peak < 1.4 * freq_bytes, peak / freq_bytes
+
+
+def test_sign_patterns_hold_one_run_of_bits_at_a_time():
+    """check_ensemble_memory budgets one run's int64 sign bits for the draw."""
+    cfg = FluctuatorConfig.uniform(300.0, 2, 125.0, fluctuators_per_site=20_000)
+    ens = EnsembleConfig(runs=3, shots=10, dt_fs=2.0, t_max_fs=300.0, master_seed=9)
+    n_intervals = -(-ens.n_steps // cfg.switch_interval_steps(ens.dt_fs))
+    bits_bytes = cfg.n_sites * cfg.fluctuators_per_site * n_intervals * 8
+    tracemalloc.start()
+    try:
+        noise._sign_patterns(cfg, ens, range(ens.runs))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * bits_bytes, peak / bits_bytes
 
 
 def test_workers_below_one_rejected():
