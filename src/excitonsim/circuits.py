@@ -104,8 +104,8 @@ def build_iteration_circuit(
     controlled-RotZ per site applies their product.
 
     Sums shaped (P, n_sites) stack P patterns into one circuit whose
-    fluctuator gates carry (P,) angle vectors; it runs only on a
-    pattern-batched register (``qcore._execute_packed``).
+    fluctuator gates carry (P,) angle vectors; it runs only on a register
+    whose first batch axis has length P (``qcore._apply_ops``).
     """
     if dt_fs <= 0:
         raise ValueError("dt_fs must be positive")

@@ -3,7 +3,9 @@
 Dense complex128 registers; basis index carries qubit 0 as the least
 significant bit, so ``|q1 q0>`` has index ``(q1 << 1) | q0``. Gates and
 circuits are immutable. ``_execute_packed`` runs a circuit on a register
-shaped (2^n, *batch), one column per sign pattern or time point.
+shaped (2^n, *batch), one column per sign pattern or time point: each
+DenseUnitary through ``_apply_dense``, and each run of single-target gates
+between them through ``_apply_ops``, which reads the Gate objects directly.
 
 Rotation conventions (fixed; all circuit builders rely on them):
 
@@ -20,17 +22,13 @@ targets (t0, t1, ...) reads t0 as the least significant bit of its index.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-10
-
-# packed op codes
-_OP_FLIP = 0
-_OP_ROTY = 1
-_OP_PHASE = 2
 
 
 class GateKind(enum.Enum):
@@ -60,7 +58,7 @@ class Gate:
             raise ValueError(f"control and target indices must be disjoint: {touched}")
         if any(q < 0 for q in touched):
             raise ValueError(f"negative qubit index in {touched}")
-        # the packer reads only targets[0], and ignores a DenseUnitary's controls
+        # _apply_ops reads only targets[0], and _apply_dense ignores controls
         if self.kind is not GateKind.DENSE_UNITARY and len(self.targets) != 1:
             raise ValueError(f"{self.kind.value} needs exactly one target, got {self.targets}")
         if self.kind in _ANGLED:
@@ -108,7 +106,6 @@ class QuantumCircuit:
 
     num_qubits: int
     gates: tuple[Gate, ...]
-    _packed: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_qubits < 1:
@@ -120,86 +117,43 @@ class QuantumCircuit:
                     raise ValueError(f"qubit {q} out of range for {self.num_qubits}-qubit register")
 
     def packed(self) -> list:
-        """Kernel-ready segments, computed once and cached."""
-        if self._packed is None:
-            self._packed = _pack(self.gates)
-        return self._packed
+        """The gates as ``_execute_packed`` runs them: each DenseUnitary as
+        itself, and each run of single-target gates between them as one tuple."""
+        segments: list = []
+        for dense, run in itertools.groupby(self.gates, key=lambda g: g.kind is GateKind.DENSE_UNITARY):
+            if dense:
+                segments.extend(run)
+            else:
+                segments.append(tuple(run))
+        return segments
 
 
-def _control_mask(gate: Gate) -> int:
-    mask = 0
-    for q in gate.controls:
-        mask |= 1 << q
-    return mask
-
-
-def _pack(gates) -> list:
-    """Group consecutive single-target gates into packed array segments.
-
-    Each DenseUnitary gate breaks the stream and is a segment of its own. A
-    segment's angles are (n_ops,), or (n_ops, P) when a gate in it carries
-    a (P,) angle vector; scalar angles then repeat across the P columns.
-    """
-    segments: list = []
-    kinds: list[int] = []
-    targets: list[int] = []
-    cmasks: list[int] = []
-    angles: list[float] = []
-
-    def flush():
-        if kinds:
-            if any(isinstance(a, np.ndarray) for a in angles):
-                angles[:] = np.broadcast_arrays(*angles)
-            segments.append(
-                (
-                    "ops",
-                    np.array(kinds, dtype=np.int32),
-                    np.array(targets, dtype=np.int32),
-                    np.array(cmasks, dtype=np.int64),
-                    np.array(angles, dtype=np.float64),
-                )
-            )
-            kinds.clear()
-            targets.clear()
-            cmasks.clear()
-            angles.clear()
-
-    for gate in gates:
-        if gate.kind is GateKind.DENSE_UNITARY:
-            flush()
-            segments.append(("dense", gate.matrix, gate.targets))
-            continue
-        if gate.kind is GateKind.PAULI_X:
-            op = _OP_FLIP
-        elif gate.kind is GateKind.ROT_Y:
-            op = _OP_ROTY
-        else:
-            op = _OP_PHASE
-        kinds.append(op)
-        targets.append(gate.targets[0])
-        cmasks.append(_control_mask(gate))
-        angles.append(0.0 if gate.angle is None else gate.angle)
-    flush()
-    return segments
-
-
-def _apply_ops(amps, num_qubits, kinds, targets, cmasks, angles) -> None:
-    """Apply a packed gate stream to ``amps`` in place.
+def _apply_ops(amps, num_qubits, gates) -> None:
+    """Apply a run of single-target gates to ``amps`` in place.
 
     ``amps`` is shaped (2^num_qubits, *batch); every gate acts on the first
-    axis. ``angles`` is (n_ops,), or (n_ops, P) with one angle per index of
-    the first batch axis, which must then have length P.
+    axis. When a gate of the run carries a (P,) angle vector, every angle of
+    the run is taken as a (P,) vector, one angle per index of the first batch
+    axis, which must then have length P.
     """
-    if angles.ndim == 2 and (amps.ndim < 2 or amps.shape[1] != angles.shape[1]):
-        raise ValueError(f"per-pattern angles of shape {angles.shape} do not fit a register of shape {amps.shape}")
-    idx = np.arange(amps.shape[0], dtype=np.int64)
+    angles = [0.0 if gate.angle is None else gate.angle for gate in gates]
     # an angle row broadcasts over the first batch axis
-    angle_shape = (-1,) + (1,) * (amps.ndim - 2) if angles.ndim == 2 else ()
+    angle_shape = ()
+    if any(isinstance(a, np.ndarray) for a in angles):
+        angles = np.broadcast_arrays(*angles)
+        n_angles = len(angles[0])
+        if amps.ndim < 2 or amps.shape[1] != n_angles:
+            raise ValueError(
+                f"per-pattern angles of shape {(len(angles), n_angles)} do not fit a register of shape {amps.shape}"
+            )
+        angle_shape = (-1,) + (1,) * (amps.ndim - 2)
+    idx = np.arange(amps.shape[0], dtype=np.int64)
     state_shape = (-1,) + (1,) * (amps.ndim - 1)
-    for kind, target, cmask, angle in zip(kinds.tolist(), targets.tolist(), cmasks.tolist(), angles):
-        tbit = 1 << target
+    for gate, angle in zip(gates, angles):
+        tbit = 1 << gate.targets[0]
+        cmask = sum(1 << q for q in gate.controls)
         controlled = (idx & cmask) == cmask
-        if kind == _OP_PHASE:
+        if gate.kind is GateKind.CONTROLLED_ROT_Z:
             # exp(-i half) where the target is 0, exp(+i half) where it is 1,
             # in real arithmetic: numpy rounds a complex product differently
             # for a scalar and an array factor, which would make a column's
@@ -217,7 +171,7 @@ def _apply_ops(amps, num_qubits, kinds, targets, cmasks, angles) -> None:
         i0 = idx[controlled & ((idx & tbit) == 0)]
         i1 = i0 | tbit
         a0 = amps[i0]
-        if kind == _OP_FLIP:
+        if gate.kind is GateKind.PAULI_X:
             amps[i0] = amps[i1]
             amps[i1] = a0
         else:
@@ -263,13 +217,13 @@ def _site_probs(amps: np.ndarray, n_system_qubits: int) -> np.ndarray:
 
 
 def _execute_packed(amps: np.ndarray, num_qubits: int, segments: list) -> np.ndarray:
-    """Run packed segments on ``amps``, shaped (2^num_qubits, *batch), in
-    place; returns the (possibly new) buffer."""
+    """Run ``QuantumCircuit.packed`` segments on ``amps``, shaped
+    (2^num_qubits, *batch), in place; returns the (possibly new) buffer."""
     for seg in segments:
-        if seg[0] == "ops":
-            _apply_ops(amps, num_qubits, seg[1], seg[2], seg[3], seg[4])
+        if isinstance(seg, Gate):
+            amps = _apply_dense(amps, seg.matrix, seg.targets)
         else:
-            amps = _apply_dense(amps, seg[1], seg[2])
+            _apply_ops(amps, num_qubits, seg)
     return amps
 
 

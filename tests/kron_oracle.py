@@ -5,7 +5,7 @@ conventions in ``qcore``'s docstring alone: qubit 0 is the least significant
 bit of the basis index (so qubit n-1 is the leftmost kron factor), RotY and
 RotZ as written there, a gate acting only where every control is 1, and a
 DenseUnitary reading targets[0] as the least significant bit of its index.
-It shares no code with the packed kernels it checks.
+It shares no code with the batched kernel it checks.
 """
 
 import numpy as np

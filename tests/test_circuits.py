@@ -273,12 +273,6 @@ def test_pattern_batched_build_matches_single_pattern_builds(n_sites, n_fluct):
             assert np.array_equal(gate.angle, angles)
         else:
             assert all(a == gate.angle for a in angles)
-    # packed, a segment's angles are one column per pattern, or one shared column
-    for seg, *single_segs in zip(batched.packed(), *(s.packed() for s in singles)):
-        if seg[0] == "ops":
-            columns = np.stack([s[4] for s in single_segs], axis=1)
-            shared = seg[4].reshape(len(seg[4]), -1)
-            assert np.array_equal(np.broadcast_to(shared, columns.shape), columns)
 
 
 def per_fluctuator_circuit(h, dt, signs, strengths):

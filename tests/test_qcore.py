@@ -281,16 +281,18 @@ def _check_against_oracle(circuit, amps):
     """Norm, determinism, untouched inputs and the kron oracle, for one
     register shaped (2^n, *batch) with unit-norm columns."""
     init = amps.copy()
-    packed = [tuple(np.array(part, copy=True) for part in seg[1:]) for seg in circuit.packed()]
     out1 = run(circuit, amps)
     out2 = run(circuit, amps)
     assert out1.shape == amps.shape
     assert np.abs((np.abs(out1) ** 2).sum(axis=0) - 1.0).max() < 1e-9
     assert np.array_equal(out1, out2)
-    # the input state and the cached packed circuit must be untouched
+    # the input state must be untouched
     assert np.array_equal(amps, init)
-    for seg, before in zip(circuit.packed(), packed):
-        assert all(np.array_equal(part, old) for part, old in zip(seg[1:], before))
+    # the segments hold the circuit's own gates in order, each DenseUnitary alone
+    segments = circuit.packed()
+    flat = [g for seg in segments for g in (seg if isinstance(seg, tuple) else (seg,))]
+    assert len(flat) == len(circuit.gates) and all(a is b for a, b in zip(flat, circuit.gates))
+    assert all(g.kind is not GateKind.DENSE_UNITARY for seg in segments if isinstance(seg, tuple) for g in seg)
     assert np.abs(out1 - oracle_run(circuit, amps)).max() < 1e-12
 
 
@@ -346,29 +348,27 @@ def test_selected_backend_is_reported():
     assert excitonsim.BACKEND == "numpy"
 
 
-def test_packed_circuit_is_reused():
-    h = SystemHamiltonian.near_resonant()
-    circuit = build_coherent_circuit(h, 25.0)
-    first = circuit.packed()
-    assert circuit.packed() is first
-    init = basis(2, 2)
-    out1 = run(circuit, init)
-    out2 = run(circuit, init)
-    assert np.array_equal(out1, out2)
-
-
-def _random_ops_segment(rng, num_qubits, n_ops, n_columns):
-    """A packed ops segment with one angle per column: angles (n_ops, n_columns)."""
-    kinds = rng.integers(0, 3, n_ops).astype(np.int32)
-    targets = rng.integers(0, num_qubits, n_ops).astype(np.int32)
-    cmasks = np.zeros(n_ops, dtype=np.int64)
-    for i in range(n_ops):
+def _random_gates(rng, num_qubits, n_gates, n_columns):
+    """Single-target gates with at most one control; most rotations carry
+    one angle per column, the rest one shared angle."""
+    gates = []
+    for _ in range(n_gates):
+        kind = (GateKind.PAULI_X, GateKind.ROT_Y, GateKind.CONTROLLED_ROT_Z)[rng.integers(0, 3)]
+        target = int(rng.integers(0, num_qubits))
+        controls = ()
         if num_qubits > 1 and rng.random() < 0.5:
             other = int(rng.integers(0, num_qubits - 1))
-            other = other if other < targets[i] else other + 1
-            cmasks[i] = 1 << other
-    angles = rng.uniform(-2 * math.pi, 2 * math.pi, (n_ops, n_columns))
-    return ("ops", kinds, targets, cmasks, angles)
+            controls = (other if other < target else other + 1,)
+        angle = rng.uniform(-2 * math.pi, 2 * math.pi, n_columns if rng.random() < 0.75 else None)
+        gates.append(Gate(kind, (target,), controls, None if kind is GateKind.PAULI_X else angle))
+    return gates
+
+
+def _column(gate: Gate, p: int) -> Gate:
+    """``gate`` as it acts on column p: its p-th angle, or itself."""
+    if np.ndim(gate.angle) == 0:
+        return gate
+    return Gate(gate.kind, gate.targets, gate.controls, gate.angle[p])
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3, 5])
@@ -378,23 +378,21 @@ def test_batched_execution_matches_column_by_column(num_qubits):
     n_columns, n_states = 6, 3
     q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     for _ in range(10):
-        segments = [
-            _random_ops_segment(rng, num_qubits, 30, n_columns),
-            ("dense", q, (num_qubits - 1,)),
-            _random_ops_segment(rng, num_qubits, 30, n_columns),
-        ]
+        gates = (
+            _random_gates(rng, num_qubits, 30, n_columns)
+            + [Gate.dense(q, (num_qubits - 1,))]
+            + _random_gates(rng, num_qubits, 30, n_columns)
+        )
         amps = rng.normal(size=(dim, n_columns, n_states)) + 1j * rng.normal(
             size=(dim, n_columns, n_states)
         )
         amps /= np.linalg.norm(amps, axis=0)
-        batched = qcore._execute_packed(amps.copy(), num_qubits, segments)
+        batched = run(QuantumCircuit(num_qubits, gates), amps)
         assert batched.shape == amps.shape
         for p in range(n_columns):
-            column = [
-                seg if seg[0] == "dense" else seg[:4] + (seg[4][:, p],) for seg in segments
-            ]
+            column = QuantumCircuit(num_qubits, [_column(g, p) for g in gates])
             for b in range(n_states):
-                single = qcore._execute_packed(amps[:, p, b].copy(), num_qubits, column)
+                single = run(column, amps[:, p, b])
                 assert np.abs(batched[:, p, b] - single).max() <= 1e-15
 
 
