@@ -245,7 +245,7 @@ def cmd_coherent(args) -> int:
         columns += ["p0_sampled", "p1_sampled"]
     # per time point: the circuit's complex128 amplitudes and the float64 output columns
     need = (n + 1) * (16 * (2 << h.n_system_qubits) + 8 * len(columns))
-    noise.check_memory(need, f"t_max_fs / step_fs gives {n + 1} time points")
+    noise.check_memory(need, f"t_max_fs / step_fs gives {n + 1:.3g} time points")
     path = _output_path(cfg, args, "coherent.csv")
     t_grid = np.arange(n + 1) * step
 

@@ -122,61 +122,23 @@ class FluctuatorConfig:
         return exact_steps(self.waiting_time_fs, dt_fs, "the fluctuator waiting time (fs)", least=1)
 
 
-@dataclass(frozen=True, eq=False)
-class FluctuatorTrajectory:
-    """Realized signs, shape (n_sites, fluctuators_per_site, n_steps)."""
+def generate_trajectory(config: FluctuatorConfig, n_iterations: int, dt_fs: float, seed) -> np.ndarray:
+    """Per-site energy shifts (cm^-1) of an n_iterations-step trajectory,
+    shape (n_sites, n_iterations); deterministic in the seed.
 
-    signs: np.ndarray
-    switch_interval_steps: int
-    strengths_cm1: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "signs", np.asarray(self.signs, dtype=np.float64))
-        object.__setattr__(
-            self, "strengths_cm1", np.asarray(self.strengths_cm1, dtype=np.float64)
-        )
-
-    @property
-    def n_sites(self) -> int:
-        return self.signs.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.signs.shape[2]
-
-    def site_shifts_cm1(self) -> np.ndarray:
-        """Per-site energy shift time series, shape (n_sites, n_steps)."""
-        return self.strengths_cm1[:, None] * self.signs.sum(axis=1)
-
-
-def generate_interval_signs(config: FluctuatorConfig, n_intervals: int, seed) -> np.ndarray:
-    """Fair-coin draws of +-1/2 per (site, fluctuator, interval)."""
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(
-        0, 2, size=(config.n_sites, config.fluctuators_per_site, n_intervals)
-    )
-    return draws.astype(np.float64) - 0.5
-
-
-def expand_interval_signs(interval_signs: np.ndarray, interval_steps: int, n_steps: int) -> np.ndarray:
-    """Repeat each interval's sign for its constituent iterations."""
-    expanded = np.repeat(interval_signs, interval_steps, axis=2)
-    if expanded.shape[2] < n_steps:
-        raise ValueError("interval signs cover fewer iterations than requested")
-    return expanded[:, :, :n_steps]
-
-
-def generate_trajectory(
-    config: FluctuatorConfig, n_iterations: int, dt_fs: float, seed
-) -> FluctuatorTrajectory:
-    """Draw a trajectory of n_iterations steps; deterministic in the seed."""
+    Each (site, fluctuator, interval) draws a fair-coin bit b and holds the
+    value b - 1/2; a site's shift is g times the sum of its fluctuators'
+    values, held for each step of the interval.
+    """
     if n_iterations < 0:
         raise ValueError("n_iterations must be non-negative")
     a = config.switch_interval_steps(dt_fs)
-    n_intervals = -(-n_iterations // a) if n_iterations else 0
-    interval_signs = generate_interval_signs(config, max(n_intervals, 1), seed)
-    signs = expand_interval_signs(interval_signs, a, max(n_iterations, 1))[:, :, :n_iterations]
-    return FluctuatorTrajectory(signs, a, config.strengths_cm1)
+    n_intervals = max(-(-n_iterations // a), 1)
+    bits = np.random.default_rng(seed).integers(
+        0, 2, size=(config.n_sites, config.fluctuators_per_site, n_intervals)
+    )
+    shifts = config.strengths_cm1[:, None] * (bits - 0.5).sum(axis=1)
+    return np.repeat(shifts, a, axis=1)[:, :n_iterations]
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,8 +223,9 @@ def _sign_patterns(
     +-1/2 values, sorted lexicographically; ``pattern_index`` (runs,
     intervals), so that run k holds ``patterns[pattern_index[k, i // interval]]``
     at step i; and each run's shot seed. Run r draws its interval bits from
-    the first child of SeedSequence([master_seed, r]) exactly as
-    ``generate_interval_signs`` does. Each interval's bits are counted per
+    the first child of SeedSequence([master_seed, r]) with the same
+    ``integers`` call as ``generate_trajectory``, so a site's sum times g
+    is that function's shift. Each interval's bits are counted per
     site in the smallest unsigned dtype that holds F, big-endian, and one
     interval's row of counts is one void item, so the 1-D sort that finds
     the distinct items orders them as the rows of sums (count - F/2) sort.

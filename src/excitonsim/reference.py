@@ -2,7 +2,8 @@
 
 Three independent routes:
 
-* exact_trajectory_series: for a fixed telegraph-noise trajectory the
+* exact_trajectory_series: for fixed per-site energy shifts at each step
+  (a telegraph-noise trajectory from ``noise.generate_trajectory``) the
   total Hamiltonian is constant within each step, so the exact populations
   on the iteration grid follow from products of dense matrix exponentials
   (no Trotter error).
@@ -28,7 +29,6 @@ import numpy as np
 
 from excitonsim.errors import ConfigError, NumericalValidationError
 from excitonsim.model import PHASE_PER_CM1_FS, SystemHamiltonian, beating_period
-from excitonsim.noise import FluctuatorTrajectory
 
 THZ_TO_INV_FS = 1e-3
 
@@ -203,25 +203,18 @@ def lindblad_populations(h: SystemHamiltonian, gamma_deph_thz: float, t_grid_fs)
     return rho.diagonal(axis1=1, axis2=2).real
 
 
-def exact_trajectory_series(
-    h: SystemHamiltonian,
-    trajectory: FluctuatorTrajectory,
-    dt_fs: float,
-    n_steps: int | None = None,
-) -> np.ndarray:
-    """Piecewise-exact populations on the iteration grid, (n_steps+1, n_sites).
+def exact_trajectory_series(h: SystemHamiltonian, shifts_cm1, dt_fs: float) -> np.ndarray:
+    """Piecewise-exact populations on the iteration grid, (n_steps+1, n_sites),
+    for per-site energy shifts of shape (n_sites, n_steps) in cm^-1.
 
     Within each step the full Hamiltonian (chain + fluctuator shifts) is
     constant, so each step is a dense eigh-based matrix exponential; the only
     approximation anywhere is measurement statistics, which this bypasses.
     """
-    if n_steps is None:
-        n_steps = trajectory.n_steps
-    if n_steps > trajectory.n_steps:
-        raise ValueError(
-            f"trajectory covers {trajectory.n_steps} steps, requested {n_steps}"
-        )
-    shifts = trajectory.site_shifts_cm1()
+    shifts = np.asarray(shifts_cm1, dtype=np.float64)
+    if shifts.ndim != 2 or shifts.shape[0] != h.n_sites:
+        raise ValueError(f"shifts must have shape ({h.n_sites}, n_steps), got {shifts.shape}")
+    n_steps = shifts.shape[1]
     h_site = h.matrix()
     psi = np.zeros(h.n_sites, dtype=np.complex128)
     psi[0] = 1.0

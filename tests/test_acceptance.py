@@ -13,7 +13,7 @@ import pytest
 
 from excitonsim import cli, circuits, model, noise, qcore, reference
 from excitonsim.model import SystemHamiltonian
-from excitonsim.noise import FluctuatorConfig, FluctuatorTrajectory, expand_interval_signs, generate_interval_signs
+from excitonsim.noise import FluctuatorConfig, generate_trajectory
 
 from conftest import MASTER_SEED, STRENGTHS_CM1, dephasing_config_payload, run_dephasing
 from kron_oracle import basis, run
@@ -116,19 +116,16 @@ def test_criterion_04_trotter_order():
     total_fs = 200.0
     ratios = []
     for k in range(20):
-        interval_signs = generate_interval_signs(
-            cfg, math.ceil(total_fs / cfg.waiting_time_fs), np.random.SeedSequence([MASTER_SEED, k])
-        )
+        seed = np.random.SeedSequence([MASTER_SEED, k])
         errors = {}
         for dt in (2.0, 1.0):
-            a = cfg.switch_interval_steps(dt)
             n_steps = int(round(total_fs / dt))
-            signs = expand_interval_signs(interval_signs, a, n_steps)
-            traj = FluctuatorTrajectory(signs, a, cfg.strengths_cm1)
-            exact = reference.exact_trajectory_series(NEAR, traj, dt, n_steps)
+            # the same 25 switch intervals at either step
+            shifts = generate_trajectory(cfg, n_steps, dt, seed)
+            exact = reference.exact_trajectory_series(NEAR, shifts, dt)
             # each distinct per-site sum's iteration circuit runs once, as a
             # system unitary; the steps then multiply 2x2 matrices
-            sums, step_index = np.unique(signs.sum(axis=1).T, axis=0, return_inverse=True)
+            sums, step_index = np.unique(shifts.T / cfg.strengths_cm1, axis=0, return_inverse=True)
             steps = noise._step_unitaries(NEAR, cfg, dt, sums)[step_index.ravel()]
             psi = np.array([1.0, 0.0], dtype=np.complex128)
             stride = int(round(2.0 / dt))

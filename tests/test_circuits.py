@@ -8,7 +8,7 @@ import pytest
 
 from excitonsim import circuits, model, qcore
 from excitonsim.model import SystemHamiltonian
-from excitonsim.noise import FluctuatorConfig, FluctuatorTrajectory, expand_interval_signs, generate_interval_signs
+from excitonsim.noise import FluctuatorConfig, generate_trajectory
 from excitonsim.reference import exact_trajectory_series
 
 from kron_oracle import basis, circuit_matrix, gate_count, oracle_run, run
@@ -101,26 +101,20 @@ def test_single_iteration_close_to_exact_split_hamiltonian():
     assert np.abs(probs - np.abs(psi) ** 2).max() < 1e-3
 
 
-def _fixed_trajectory(
-    h, g, seed, total_fs=200.0, gamma_thz=125.0
-):
+def _max_error_vs_exact(h, g, seed, dt, total_fs=200.0, gamma_thz=125.0):
+    """Worst population error of the iteration circuits against the
+    piecewise-exact series, on the 2 fs grid, for one seeded trajectory;
+    a seed draws the same switch intervals at every dt."""
     cfg = FluctuatorConfig.uniform(g, h.n_sites, gamma_thz)
-    n_intervals = math.ceil(total_fs / cfg.waiting_time_fs)
-    return cfg, generate_interval_signs(cfg, n_intervals, seed)
-
-
-def _max_error_vs_exact(h, cfg, interval_signs, dt, total_fs):
-    a = cfg.switch_interval_steps(dt)
     n_steps = int(round(total_fs / dt))
-    signs = expand_interval_signs(interval_signs, a, n_steps)
-    traj = FluctuatorTrajectory(signs, a, cfg.strengths_cm1)
-    exact = exact_trajectory_series(h, traj, dt, n_steps)
+    shifts = generate_trajectory(cfg, n_steps, dt, seed)
+    exact = exact_trajectory_series(h, shifts, dt)
 
     state = basis(2, 2)
     worst = 0.0
     compare_stride = int(round(2.0 / dt))
     for i in range(n_steps):
-        sums = signs[:, :, i].sum(axis=-1)
+        sums = shifts[:, i] / cfg.strengths_cm1
         circuit = circuits.build_iteration_circuit(h, dt, sums, cfg.strengths_cm1)
         state = run(circuit, state)
         if (i + 1) % compare_stride == 0:
@@ -131,9 +125,9 @@ def _max_error_vs_exact(h, cfg, interval_signs, dt, total_fs):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_first_order_trotter_convergence(seed):
-    cfg, interval_signs = _fixed_trajectory(NEAR, 300.0, np.random.SeedSequence([17, seed]))
-    err_coarse = _max_error_vs_exact(NEAR, cfg, interval_signs, 2.0, 200.0)
-    err_fine = _max_error_vs_exact(NEAR, cfg, interval_signs, 1.0, 200.0)
+    trajectory_seed = np.random.SeedSequence([17, seed])
+    err_coarse = _max_error_vs_exact(NEAR, 300.0, trajectory_seed, 2.0)
+    err_fine = _max_error_vs_exact(NEAR, 300.0, trajectory_seed, 1.0)
     assert 1.7 <= err_coarse / err_fine <= 2.3
 
 

@@ -439,12 +439,15 @@ def test_coherent_rejects_step_that_does_not_divide_horizon(tmp_path, capsys):
 
 
 def test_coherent_rejects_a_grid_too_large_for_memory(tmp_path, capsys):
-    payload = json.loads(Path(coherent_config(tmp_path, t_max_fs=1e15, step_fs=1.0)).read_text())
-    payload["output"]["directory"] = str(tmp_path / "out")
-    cfg = write_config(tmp_path, payload)
-    assert cli.main(["coherent", "--config", cfg]) == 2
-    assert "time points" in assert_one_line_error(capsys, "config error:")
-    assert not (tmp_path / "out").exists()
+    # the second grid has about 1e301 points, a count to print in short form
+    for t_max_fs, step_fs in ((1e15, 1.0), (10.0, 1e-300)):
+        payload = json.loads(Path(coherent_config(tmp_path, t_max_fs=t_max_fs, step_fs=step_fs)).read_text())
+        payload["output"]["directory"] = str(tmp_path / "out")
+        cfg = write_config(tmp_path, payload)
+        assert cli.main(["coherent", "--config", cfg]) == 2
+        err = assert_one_line_error(capsys, "config error:")
+        assert "time points" in err and len(err) <= 160, err
+        assert not (tmp_path / "out").exists()
 
 
 def test_coherent_norm_drift_is_a_numerical_failure_naming_the_time(tmp_path, capsys, monkeypatch):

@@ -34,29 +34,30 @@ def test_non_integer_switch_interval_rejected():
 
 def test_trajectory_deterministic_and_piecewise_constant():
     cfg = FluctuatorConfig.uniform(300.0, 2, 125.0)
-    t1 = noise.generate_trajectory(cfg, 40, 2.0, seed=123)
-    t2 = noise.generate_trajectory(cfg, 40, 2.0, seed=123)
-    assert np.array_equal(t1.signs, t2.signs)
-    assert t1.signs.shape == (2, 1, 40)
-    assert set(np.unique(t1.signs)) <= {-0.5, 0.5}
+    s1 = noise.generate_trajectory(cfg, 40, 2.0, seed=123)
+    s2 = noise.generate_trajectory(cfg, 40, 2.0, seed=123)
+    assert np.array_equal(s1, s2)
+    assert s1.shape == (2, 40) and s1.dtype == np.float64
+    assert set(np.unique(s1)) <= {-150.0, 150.0}
     # constant within each 4-iteration interval
-    blocks = t1.signs.reshape(2, 1, 10, 4)
+    blocks = s1.reshape(2, 10, 4)
     assert (blocks == blocks[..., :1]).all()
-    t3 = noise.generate_trajectory(cfg, 40, 2.0, seed=124)
-    assert not np.array_equal(t1.signs, t3.signs)
+    s3 = noise.generate_trajectory(cfg, 40, 2.0, seed=124)
+    assert not np.array_equal(s1, s3)
 
 
 def test_fair_coin_fraction():
     cfg = FluctuatorConfig.uniform(100.0, 1, 125.0)
-    signs = noise.generate_interval_signs(cfg, 100_000, seed=2026)
-    fraction = (signs > 0).mean()
+    # dt = the 8 fs waiting time: one interval, one fair-coin draw, per step
+    shifts = noise.generate_trajectory(cfg, 100_000, 8.0, seed=2026)
+    assert shifts.shape == (1, 100_000)
+    fraction = (shifts > 0).mean()
     assert 0.497 <= fraction <= 0.503
 
 
 def test_multi_fluctuator_shifts_sum():
     cfg = FluctuatorConfig.uniform(200.0, 2, 125.0, fluctuators_per_site=2)
-    traj = noise.generate_trajectory(cfg, 12, 2.0, seed=5)
-    shifts = traj.site_shifts_cm1()
+    shifts = noise.generate_trajectory(cfg, 12, 2.0, seed=5)
     assert shifts.shape == (2, 12)
     assert set(np.unique(shifts)) <= {-200.0, 0.0, 200.0}
 
@@ -98,9 +99,9 @@ def test_ensemble_mean_shift_is_unbiased():
     count = 0
     for run in range(200):
         seed = np.random.SeedSequence([31, run])
-        traj = noise.generate_trajectory(cfg, 100, 2.0, seed)
-        total += traj.site_shifts_cm1().sum()
-        count += traj.site_shifts_cm1().size
+        shifts = noise.generate_trajectory(cfg, 100, 2.0, seed)
+        total += shifts.sum()
+        count += shifts.size
     mean_shift = total / count
     # 3 sigma of the mean of count/4 independent +-150 values
     assert abs(mean_shift) < 3 * 150.0 / np.sqrt(count / 4)
@@ -164,8 +165,8 @@ def test_four_site_two_fluctuator_ensemble_matches_exact_mean():
     exact = []
     for r in range(ens.runs):
         traj_ss, _ = np.random.SeedSequence([ens.master_seed, r]).spawn(2)
-        traj = noise.generate_trajectory(cfg, ens.n_steps, ens.dt_fs, traj_ss)
-        exact.append(reference.exact_trajectory_series(h, traj, ens.dt_fs))
+        shifts = noise.generate_trajectory(cfg, ens.n_steps, ens.dt_fs, traj_ss)
+        exact.append(reference.exact_trajectory_series(h, shifts, ens.dt_fs))
     exact = np.array(exact)
     # shot noise of the run mean, plus a Trotter allowance at dt = 2 fs
     sigma = np.sqrt((exact * (1.0 - exact)).sum(axis=0) / ens.shots) / ens.runs
@@ -239,15 +240,16 @@ def test_sign_patterns_match_generated_trajectories(n_sites, per_site, t_max_fs)
     for k, r in enumerate(runs):
         traj_ss, shot_ss = np.random.SeedSequence([ens.master_seed, r]).spawn(2)
         assert shot_seeds[k].spawn_key == shot_ss.spawn_key
-        sums = noise.generate_trajectory(cfg, ens.n_steps, ens.dt_fs, traj_ss).signs.sum(axis=1)
+        shifts = noise.generate_trajectory(cfg, ens.n_steps, ens.dt_fs, traj_ss)
+        assert shifts.shape == (n_sites, ens.n_steps)
         for i in range(ens.n_steps):
-            assert np.array_equal(patterns[pattern_index[k, i // interval]], sums[:, i])
-        rows.append(sums[:, ::interval].T)
-    # the distinct rows of per-site sums, sorted as np.unique sorts them
+            assert np.array_equal(patterns[pattern_index[k, i // interval]] * 300.0, shifts[:, i])
+        rows.append(shifts[:, ::interval].T)
+    # the distinct rows of per-site shifts, sorted as np.unique sorts them
     expected, inverse = np.unique(
         np.concatenate(rows).reshape(-1, n_sites), axis=0, return_inverse=True
     )
-    assert np.array_equal(patterns, expected)
+    assert np.array_equal(patterns * 300.0, expected)
     assert np.array_equal(pattern_index.reshape(-1), inverse.reshape(-1))
 
 

@@ -8,7 +8,7 @@ import pytest
 from excitonsim import model, reference
 from excitonsim.errors import ConfigError, NumericalValidationError
 from excitonsim.model import SystemHamiltonian
-from excitonsim.noise import FluctuatorConfig, FluctuatorTrajectory, generate_trajectory
+from excitonsim.noise import FluctuatorConfig, generate_trajectory
 
 K = 2.0 * math.pi * 2.99792458e-5
 
@@ -18,8 +18,8 @@ NON = SystemHamiltonian.non_resonant()
 
 def test_exact_propagation_with_zero_noise_matches_closed_form():
     cfg = FluctuatorConfig.uniform(0.0, 2, 125.0)
-    traj = generate_trajectory(cfg, 100, 2.0, seed=1)
-    series = reference.exact_trajectory_series(NEAR, traj, 2.0)
+    shifts = generate_trajectory(cfg, 100, 2.0, seed=1)
+    series = reference.exact_trajectory_series(NEAR, shifts, 2.0)
     t = np.arange(101) * 2.0
     p0, p1 = model.analytic_populations(NEAR, t)
     assert np.abs(series[:, 0] - p0).max() < 1e-10
@@ -27,9 +27,8 @@ def test_exact_propagation_with_zero_noise_matches_closed_form():
 
 
 def test_constant_common_shift_is_a_global_phase():
-    signs = np.full((2, 1, 80), 0.5)
-    traj = FluctuatorTrajectory(signs, 4, np.array([300.0, 300.0]))
-    series = reference.exact_trajectory_series(NEAR, traj, 2.0)
+    shifts = np.full((2, 80), 150.0)
+    series = reference.exact_trajectory_series(NEAR, shifts, 2.0)
     t = np.arange(81) * 2.0
     p0, _ = model.analytic_populations(NEAR, t)
     assert np.abs(series[:, 0] - p0).max() < 1e-10
@@ -37,13 +36,15 @@ def test_constant_common_shift_is_a_global_phase():
 
 def test_exact_propagate_point_and_errors():
     cfg = FluctuatorConfig.uniform(200.0, 2, 125.0)
-    traj = generate_trajectory(cfg, 50, 2.0, seed=3)
-    series = reference.exact_trajectory_series(NEAR, traj, 2.0, 50)  # up to t = 100 fs
+    shifts = generate_trajectory(cfg, 50, 2.0, seed=3)
+    series = reference.exact_trajectory_series(NEAR, shifts, 2.0)  # up to t = 100 fs
     assert series.shape == (51, 2)
     assert series[-1].sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.array_equal(series[:21], reference.exact_trajectory_series(NEAR, traj, 2.0, 20))
-    with pytest.raises(ValueError):
-        reference.exact_trajectory_series(NEAR, traj, 2.0, 100)  # beyond trajectory
+    assert np.array_equal(series[:21], reference.exact_trajectory_series(NEAR, shifts[:, :20], 2.0))
+    # shifts must be (n_sites, n_steps)
+    for wrong in (shifts.T, shifts[:1], shifts[0], shifts[None]):
+        with pytest.raises(ValueError, match="shape"):
+            reference.exact_trajectory_series(NEAR, wrong, 2.0)
 
 
 @pytest.mark.parametrize("h", [NEAR, NON], ids=["near", "non"])
