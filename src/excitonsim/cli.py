@@ -98,10 +98,7 @@ def resolve_hamiltonian(section: dict) -> model.SystemHamiltonian:
     eps0, coupling, coupling_t, eps1 = entries
     if coupling != coupling_t:
         raise ConfigError(f"custom hamiltonian matrix must be symmetric, got {matrix!r}")
-    try:
-        return model.SystemHamiltonian.two_site(eps0, eps1, coupling)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return model.SystemHamiltonian.two_site(eps0, eps1, coupling)
 
 
 def _hamiltonian_echo(h: model.SystemHamiltonian) -> dict:
@@ -299,23 +296,14 @@ def cmd_dephasing(args) -> int:
     # surface what would fail the ensemble or the fit before doing any work
     noise.check_ensemble_memory(noise_cfg, ens)
     noise.check_phase_angles(h, noise_cfg, ens.dt_fs)
-    try:
-        period = model.beating_period(h)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    horizon = ens.n_steps * ens.dt_fs
-    if horizon < 2.0 * period:
-        raise ConfigError(
-            f"t_max_fs={ens.t_max_fs} is shorter than the two beating periods "
-            f"({2.0 * period:.6g} fs) the dephasing-rate fit needs"
-        )
+    reference.check_fit_span(h, ens.n_steps * ens.dt_fs)
     path = _output_path(cfg, args, "dephasing.csv")
     sidecar = path.with_suffix(".fit.json")
     if sidecar.is_dir():
         raise ConfigError(f"bad [output]: the fit sidecar {str(sidecar)!r} is a directory")
 
     result = noise.run_ensemble(h, noise_cfg, ens, workers=args.workers)
-    fit = _fit_rate(result.t_fs, result.p_mean, h)
+    fit = reference.fit_dephasing_rate(result.t_fs, result.p_mean, h)
     # the fit checked its rate at the last point only; the CSV reports every point
     reference.check_density_matrices(fit.rho, result.t_fs)
     lind = fit.rho.diagonal(axis1=1, axis2=2).real
@@ -365,25 +353,9 @@ def cmd_dephasing(args) -> int:
     return 0
 
 
-def _fit_rate(t_fs, populations, h) -> reference.FitResult:
-    """A series the fit cannot take stays a ConfigError (exit 2); a fit that
-    finds no minimum inside its bracket is a numerical failure (exit 3)."""
-    try:
-        return reference.fit_dephasing_rate(t_fs, populations, h)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise NumericalValidationError(f"dephasing-rate fit: {exc}") from exc
-
-
 def cmd_resources(args) -> int:
     out = _out_file(args.out)
-    try:
-        report = model.estimate_resources(
-            args.n_sites, args.fluctuators, args.t_fs, args.dt_fs
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = model.estimate_resources(args.n_sites, args.fluctuators, args.t_fs, args.dt_fs)
     if args.gamma_thz is not None:
         # the switch interval does not depend on the chain, so one site checks it
         fluctuators = noise.FluctuatorConfig.uniform(0.0, 1, args.gamma_thz)
@@ -412,7 +384,7 @@ def cmd_fit(args) -> int:
         raise ConfigError("no embedded hamiltonian; pass --preset")
     t = data[:, columns.index("t_fs")]
     pops = data[:, [columns.index("p0_mean"), columns.index("p1_mean")]]
-    fit = _fit_rate(t, pops, h)
+    fit = reference.fit_dephasing_rate(t, pops, h)
     text = json.dumps(
         {"gamma_deph_thz": fit.gamma_deph_thz, "residual_rms": fit.residual_rms},
         indent=2,

@@ -64,17 +64,17 @@ class SystemHamiltonian:
         j = _as_readonly(self.couplings_cm1)
         n = eps.size
         if eps.ndim != 1 or n < 2:
-            raise ValueError("need a 1-d array of at least two site energies")
+            raise ConfigError("need a 1-d array of at least two site energies")
         if n & (n - 1):
-            raise ValueError(f"n_sites must be a power of two, got {n}")
+            raise ConfigError(f"n_sites must be a power of two, got {n}")
         if j.shape != (n, n):
-            raise ValueError("couplings must be an n_sites x n_sites matrix")
+            raise ConfigError("couplings must be an n_sites x n_sites matrix")
         if not (np.isfinite(eps).all() and np.isfinite(j).all()):
-            raise ValueError("non-finite Hamiltonian entry")
+            raise ConfigError("non-finite Hamiltonian entry")
         if np.abs(j - j.T).max() > 1e-9:
-            raise ValueError("couplings must be symmetric")
+            raise ConfigError("couplings must be symmetric")
         if np.abs(np.diag(j)).max() > 0:
-            raise ValueError("couplings must have a zero diagonal")
+            raise ConfigError("couplings must have a zero diagonal")
         object.__setattr__(self, "site_energies_cm1", eps)
         object.__setattr__(self, "couplings_cm1", j)
 
@@ -158,9 +158,9 @@ def _jacobi_eigh(a: np.ndarray, sweeps: int = 50, tol: float = 1e-14):
 
 def _two_site(h: SystemHamiltonian, name: str) -> tuple[float, float, float, float]:
     """eps0, eps1, J and Omega = hypot(eps0 - eps1, 2J) of a two-site chain;
-    a ValueError saying that ``name`` is defined for two-site chains else."""
+    a ConfigError saying that ``name`` is defined for two-site chains else."""
     if h.n_sites != 2:
-        raise ValueError(f"{name} is defined for two-site chains")
+        raise ConfigError(f"{name} is defined for two-site chains")
     eps0, eps1 = h.site_energies_cm1
     j = h.couplings_cm1[0, 1]
     return eps0, eps1, j, math.hypot(eps0 - eps1, 2.0 * j)
@@ -212,7 +212,7 @@ def beating_period(h: SystemHamiltonian) -> float:
     """Period 2*pi / (Omega * PHASE_PER_CM1_FS) of the population beating."""
     omega = _two_site(h, "beating_period")[3]
     if omega * PHASE_PER_CM1_FS == 0.0:
-        raise ValueError("degenerate uncoupled system has no beating period")
+        raise ConfigError("degenerate uncoupled system has no beating period")
     return 2.0 * math.pi / (omega * PHASE_PER_CM1_FS)
 
 
@@ -230,13 +230,13 @@ def estimate_resources(
     paper's gate set; no circuit here uses them, so their tallies are zero.
     """
     if n_sites < 2 or n_sites & (n_sites - 1):
-        raise ValueError(f"n_sites must be a power of two >= 2, got {n_sites}")
+        raise ConfigError(f"n_sites must be a power of two >= 2, got {n_sites}")
     if fluctuators_per_site < 1:
-        raise ValueError("fluctuators_per_site must be >= 1")
+        raise ConfigError("fluctuators_per_site must be >= 1")
     if not 0 < dt_fs < math.inf:
-        raise ValueError(f"dt_fs must be finite and positive, got {dt_fs}")
+        raise ConfigError(f"dt_fs must be finite and positive, got {dt_fs}")
     if t_fs < 0:
-        raise ValueError("t_fs must be non-negative")
+        raise ConfigError("t_fs must be non-negative")
     iterations = exact_steps(t_fs, dt_fs, "t_fs")
     q = n_sites.bit_length() - 1
     f = fluctuators_per_site

@@ -204,7 +204,7 @@ def _step_unitaries(
     amps[dim:] = np.eye(dim)[:, None, :]
     amps = _execute_packed(amps, n_sys + 1, circuit.packed())
     leak = (amps[:dim].real ** 2 + amps[:dim].imag ** 2).sum(axis=0)
-    leaked = np.argwhere(leak > _LEAK_TOL)
+    leaked = np.argwhere(~(leak <= _LEAK_TOL))
     if leaked.size:
         p, m = leaked[0]
         raise NumericalValidationError(
@@ -287,7 +287,7 @@ def _run_frequencies(
             probs[:, i + 1] = states.real**2 + states.imag**2
 
     norm2 = probs[:, -1].sum(axis=1)
-    drifted = np.flatnonzero(np.abs(norm2 - 1.0) > 1e-9)
+    drifted = np.flatnonzero(~(np.abs(norm2 - 1.0) <= 1e-9))
     if drifted.size:
         k = drifted[0]
         raise NumericalValidationError(
@@ -295,7 +295,6 @@ def _run_frequencies(
         )
 
     # the probabilities are overwritten in place by each run's frequencies
-    np.clip(probs, 0.0, None, out=probs)
     for run, shot_ss in zip(probs, shot_seeds):
         run /= run.sum(axis=1, keepdims=True)
         counts = np.random.default_rng(shot_ss).multinomial(ens.shots, run)

@@ -247,6 +247,18 @@ class FitResult:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def check_fit_span(h: SystemHamiltonian, span_fs: float) -> None:
+    """ConfigError unless a series spanning ``span_fs`` covers the two
+    beating periods of ``h`` that the fit needs; a chain without a beating
+    period is one too."""
+    need = 2.0 * beating_period(h)
+    if span_fs < need:
+        raise ConfigError(
+            f"a series of {span_fs:.6g} fs is shorter than the two beating periods "
+            f"({need:.6g} fs) the dephasing-rate fit needs"
+        )
+
+
 def fit_dephasing_rate(t_fs, populations, h: SystemHamiltonian) -> FitResult:
     """Dephasing rate whose Lindblad populations best match the series,
     with the density matrices of that rate.
@@ -254,11 +266,11 @@ def fit_dephasing_rate(t_fs, populations, h: SystemHamiltonian) -> FitResult:
     Scans a log-spaced grid over BRACKET_THZ to bracket the minimum of the
     summed squared deviation, then refines by golden-section search in log
     space to LOG_TOL. A minimum pushed against the upper bracket edge is a
-    ValueError; the lower edge is a legitimate answer for effectively
-    coherent series. A chain without a beating period, or a series of the
-    wrong shape, with non-finite values or populations outside [0, 1],
-    shorter than two beating periods or on a grid that is not strictly
-    increasing from t >= 0, is a ConfigError.
+    NumericalValidationError; the lower edge is a legitimate answer for
+    effectively coherent series. A series of the wrong shape, with
+    non-finite values or populations outside [0, 1], that ``check_fit_span``
+    refuses or on a grid that is not strictly increasing from t >= 0, is a
+    ConfigError.
     """
     t = np.asarray(t_fs, dtype=np.float64)
     p = np.asarray(populations, dtype=np.float64)
@@ -266,12 +278,7 @@ def fit_dephasing_rate(t_fs, populations, h: SystemHamiltonian) -> FitResult:
         raise ConfigError("populations must have shape (len(t_fs), n_sites)")
     if not (np.isfinite(t).all() and np.isfinite(p).all()):
         raise ConfigError("non-finite values in the ensemble series")
-    try:
-        period = beating_period(h)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if t.size < 2 or t[-1] - t[0] < 2.0 * period:
-        raise ConfigError("series must cover at least two beating periods")
+    check_fit_span(h, t[-1] - t[0] if t.size else 0.0)
 
     worst = float(p.flat[np.argmax(np.abs(p - 0.5))])
     if not abs(worst - 0.5) <= 0.5 + POPULATION_TOL:
@@ -299,8 +306,8 @@ def fit_dephasing_rate(t_fs, populations, h: SystemHamiltonian) -> FitResult:
     values, _ = objectives(grid)
     best = int(np.argmin(values))
     if best == len(grid) - 1:
-        raise ValueError(
-            "failed to bracket a minimum: best dephasing rate at the upper bound"
+        raise NumericalValidationError(
+            "dephasing-rate fit: failed to bracket a minimum: best dephasing rate at the upper bound"
         )
     a = grid[max(best - 1, 0)]
     b = grid[best + 1]

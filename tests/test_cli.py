@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from excitonsim import circuits, cli, reference
+from excitonsim import circuits, cli, noise, reference
 
 K = 2.0 * math.pi * 2.99792458e-5
 
@@ -100,10 +100,11 @@ def test_unknown_preset_is_config_error(tmp_path, capsys):
 
 
 def test_malformed_config_is_config_error(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert cli.main(["coherent", "--config", str(path)]) == 2
-    capsys.readouterr()
+    for name, text in (("broken.json", "{not json"), ("broken.toml", "[ensemble\nt_max_fs = ")):
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.main(["coherent", "--config", str(path)]) == 2
+        assert_one_line_error(capsys, "config error:")
 
 
 def test_dephasing_outputs_and_fit_sidecar(tmp_path, capsys):
@@ -164,6 +165,19 @@ def test_reruns_and_worker_counts_are_byte_identical(tmp_path, capsys):
             ["dephasing", "--config", cfg, "--output-dir", str(out), "--workers", str(workers)]
         )
         assert code == 0
+    if sys.version_info >= (3, 11):  # tomllib
+        # the TOML twin of the config writes the same bytes, config line included
+        sections = json.loads(Path(cfg).read_text())
+        toml = tmp_path / "config.toml"
+        toml.write_text(
+            "".join(
+                f"[{name}]\n" + "".join(f"{key} = {json.dumps(value)}\n" for key, value in section.items())
+                for name, section in sections.items()
+            )
+        )
+        out4 = tmp_path / "d"
+        assert cli.main(["dephasing", "--config", str(toml), "--output-dir", str(out4)]) == 0
+        assert (out4 / "dephasing.csv").read_bytes() == (out1 / "dephasing.csv").read_bytes()
     capsys.readouterr()
 
     def numeric_region(path: Path) -> bytes:
@@ -305,6 +319,13 @@ def test_dephasing_unbracketed_fit_is_numerical_failure(tmp_path, capsys, monkey
     cfg = dephasing_config(tmp_path, ensemble={"runs": 4, "t_max_fs": 260.0})
     assert cli.main(["dephasing", "--config", cfg]) == 3
     assert "bracket" in assert_one_line_error(capsys, "numerical validation failure:")
+
+
+def test_dephasing_nan_amplitudes_are_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(noise, "_execute_packed", lambda amps, n, segments: np.full_like(amps, np.nan))
+    assert cli.main(["dephasing", "--config", dephasing_config(tmp_path)]) == 3
+    assert "leaked nan" in assert_one_line_error(capsys, "numerical validation failure:")
+    assert not (tmp_path / "dephasing.csv").exists()
 
 
 def test_dephasing_takes_its_fit_columns_from_the_fit(tmp_path, capsys, monkeypatch):

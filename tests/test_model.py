@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from excitonsim import model
+from excitonsim.errors import ConfigError
 from excitonsim.model import SystemHamiltonian
 
 K = 2.0 * math.pi * 2.99792458e-5
@@ -130,7 +131,7 @@ def test_beating_periods():
     assert model.beating_period(SystemHamiltonian.non_resonant()) == pytest.approx(50.89, abs=0.01)
     equal = SystemHamiltonian.two_site(12900.0, 12900.0, 126.0)
     assert model.beating_period(equal) == pytest.approx(2 * math.pi / (252.0 * K), abs=1e-9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="no beating period"):
         model.beating_period(SystemHamiltonian.two_site(12900.0, 12900.0, 0.0))
 
 
@@ -169,11 +170,11 @@ def test_estimate_resources_grows_with_chain():
 
 
 def test_estimate_resources_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         model.estimate_resources(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         model.estimate_resources(2, 1, 801.0, 2.0)
     # an infinite step would give zero iterations and a report that is not JSON
     for dt_fs in (math.inf, math.nan, 0.0, -2.0):
-        with pytest.raises(ValueError, match="dt_fs must be finite and positive"):
+        with pytest.raises(ConfigError, match="dt_fs must be finite and positive"):
             model.estimate_resources(2, 1, 0.0, dt_fs)

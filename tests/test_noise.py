@@ -181,10 +181,20 @@ def test_ancilla_leak_in_iteration_circuit_is_rejected(monkeypatch):
         ancilla = h.n_system_qubits
         return QuantumCircuit(circuit.num_qubits, circuit.gates + (Gate.x(ancilla),))
 
-    monkeypatch.setattr(noise, "build_iteration_circuit", leaky)
     cfg = FluctuatorConfig.uniform(300.0, 2, 125.0)
     ens = EnsembleConfig(runs=2, shots=10, dt_fs=2.0, t_max_fs=8.0, master_seed=3)
-    with pytest.raises(NumericalValidationError, match="ancilla"):
+    with monkeypatch.context() as patch:
+        patch.setattr(noise, "build_iteration_circuit", leaky)
+        with pytest.raises(NumericalValidationError, match="ancilla"):
+            noise.run_ensemble(NEAR, cfg, ens)
+    # NaN compares false with any tolerance, so each check asks for "within"
+    with monkeypatch.context() as patch:
+        patch.setattr(noise, "_execute_packed", lambda amps, n, segments: np.full_like(amps, np.nan))
+        with pytest.raises(NumericalValidationError, match="leaked nan into the ancilla"):
+            noise.run_ensemble(NEAR, cfg, ens)
+    nan_steps = lambda h, cfg, dt_fs, patterns: np.full((len(patterns), 2, 2), np.nan, complex)
+    monkeypatch.setattr(noise, "_step_unitaries", nan_steps)
+    with pytest.raises(NumericalValidationError, match=r"norm\^2 drifted to nan"):
         noise.run_ensemble(NEAR, cfg, ens)
 
 

@@ -309,7 +309,7 @@ def test_fit_input_validation():
     t = np.arange(0.0, 601.0, 2.0)
     pops = reference.lindblad_populations(NEAR, 5.0, t)
     short = t[t < 150.0]  # less than two beating periods
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="beating periods"):
         reference.fit_dephasing_rate(short, pops[: short.size], NEAR)
     bad = pops.copy()
     bad[3, 0] = np.nan
@@ -336,7 +336,7 @@ def test_fit_reports_unbracketed_minimum():
     # a frozen series is matched ever better by ever larger rates (Zeno limit)
     t = np.arange(0.0, 601.0, 2.0)
     frozen = np.column_stack([np.ones_like(t), np.zeros_like(t)])
-    with pytest.raises(ValueError, match="bracket"):
+    with pytest.raises(NumericalValidationError, match="bracket"):
         reference.fit_dephasing_rate(t, frozen, NEAR)
 
 
