@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from excitonsim import circuits, cli, noise, reference
+from excitonsim.model import SystemHamiltonian
 
 K = 2.0 * math.pi * 2.99792458e-5
 
@@ -260,6 +261,31 @@ def test_fit_subcommand_on_emitted_csv(tmp_path, capsys):
     assert cli.main(["fit", str(tmp_path / "dephasing.csv")]) == 0
     refit = json.loads(capsys.readouterr().out)
     assert refit["gamma_deph_thz"] == pytest.approx(sidecar["gamma_deph_thz"], rel=1e-6)
+
+
+LAPACK_ENTRY_POINTS = (
+    "eigvalsh", "eigh", "eig", "eigvals", "solve", "inv", "det", "slogdet",
+    "svd", "qr", "cholesky", "lstsq", "pinv", "matrix_rank", "cond",
+)
+
+
+def test_no_production_path_calls_lapack(tmp_path, capsys, monkeypatch):
+    """Every command runs on numpy ufuncs, einsum and matmul alone, so a run
+    maps none of LAPACK's code pages (they cost resident memory)."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a production path called a numpy.linalg LAPACK routine")
+
+    for module in (np.linalg, getattr(np.linalg, "_linalg", np.linalg)):
+        for name in LAPACK_ENTRY_POINTS:
+            monkeypatch.setattr(module, name, refuse)
+    cfg = dephasing_config(tmp_path)
+    assert cli.main(["dephasing", "--config", cfg]) == 0
+    assert cli.main(["fit", str(tmp_path / "dephasing.csv")]) == 0
+    assert cli.main(["coherent", "--config", coherent_config(tmp_path, shots=100)]) == 0
+    capsys.readouterr()
+    rho = reference.lindblad_integrate(SystemHamiltonian.near_resonant(), 10.0, np.linspace(0, 50, 11))
+    assert rho.shape == (11, 2, 2)
 
 
 def test_numbers_are_serialized_with_nine_significant_digits(tmp_path, capsys):

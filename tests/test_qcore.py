@@ -242,6 +242,29 @@ def test_gate_validation_errors():
         Gate(GateKind.DENSE_UNITARY, (0,), (1,), matrix=np.eye(2, dtype=complex))
 
 
+def _accepted(matrix: np.ndarray, targets) -> bool:
+    try:
+        Gate.dense(matrix, targets)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**31 - 1))
+def test_dense_unitarity_check_agrees_with_the_matmul_form(n_targets, seed):
+    """Gate.dense computes m^H m with einsum; it accepts and rejects what the
+    @ form of the same check would, at and 2 UNITARY_TOL beyond the edge."""
+    rng = np.random.default_rng(seed)
+    dim = 1 << n_targets
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    targets = tuple(range(n_targets))
+    for m in (q, q * (1.0 + 2.0 * qcore.UNITARY_TOL)):
+        matmul_verdict = np.abs(m.conj().T @ m - np.eye(dim)).max() <= qcore.UNITARY_TOL
+        assert _accepted(m, targets) == matmul_verdict
+    assert _accepted(q, targets) and not _accepted(q * (1.0 + 2.0 * qcore.UNITARY_TOL), targets)
+
+
 def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from excitonsim import *", namespace)

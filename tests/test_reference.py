@@ -1,9 +1,12 @@
 """Piecewise-exact propagation, Lindblad integration, dephasing-rate fit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from excitonsim import model, reference
 from excitonsim.errors import ConfigError, NumericalValidationError
@@ -105,6 +108,72 @@ def test_stacked_density_check_names_the_first_failing_point(check, broken, mess
     stack[-1] = broken  # a later failure does not hide point k
     with pytest.raises(NumericalValidationError, match=rf"t = {float(t[k])!r} fs "):
         reference.check_density_matrices(stack, t)
+
+
+@st.composite
+def density_like_stacks(draw):
+    """Hermitian unit-trace stacks of 1-4 matrices, n = 1..4. Each matrix is
+    either random, or (n > 1) built from eigenvalues with the lowest a signed
+    1e-11..1e-1 from POSITIVITY_TOL, so both verdicts occur near the edge."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if n == 1 or draw(st.booleans()):
+            a = z + z.conj().T
+            a /= a.trace().real
+        else:
+            lowest = reference.POSITIVITY_TOL + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-11, -1))
+            rest = rng.random(n - 1) + 1e-3
+            w = np.concatenate(([lowest], rest / rest.sum() * (1.0 - lowest)))
+            u, _ = np.linalg.qr(z)
+            a = (u * w) @ u.conj().T
+            a = (a + a.conj().T) / 2
+        stack.append(a)
+    return np.array(stack)
+
+
+@settings(max_examples=300, deadline=None)
+@given(density_like_stacks())
+def test_positivity_pivots_agree_with_eigvalsh(stack):
+    """The pivot test passes a stack exactly when its lowest eigenvalue (from
+    LAPACK, here only) clears POSITIVITY_TOL, away from a 1e-12 band."""
+    lowest = np.linalg.eigvalsh(stack).min()
+    assume(abs(lowest - reference.POSITIVITY_TOL) > 1e-12)
+    expected = None if lowest >= reference.POSITIVITY_TOL else "lost positivity"
+    assert reference._density_problem(stack) == expected
+
+
+@pytest.mark.parametrize(
+    "rho, expected",
+    [
+        (np.diag([1.0, 0.0]), None),  # |0><0|: lowest eigenvalue exactly 0
+        (np.diag([1.0 + 0.5e-8, -0.5e-8]), None),
+        (np.diag([1.0 + 2e-8, -2e-8]), "lost positivity"),
+        (np.array([[0.5, 1e200], [1e200, 0.5]]), "lost positivity"),
+        (np.array([[0.5, 1e200j], [-1e200j, 0.5]]), "lost positivity"),
+        (np.array([[0.4, 1e200, 0.0], [1e200, 0.3, 0.0], [0.0, 0.0, 0.3]], dtype=complex), "lost positivity"),
+    ],
+)
+def test_positivity_check_at_the_tolerance_and_on_overflow(rho, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing pivot warns nothing
+        assert reference._density_problem(rho[None]) == expected
+
+
+@pytest.mark.parametrize("h", [NEAR, NON], ids=["near", "non"])
+def test_liouvillian_slowest_decay_reaches_the_incoherent_rate(h):
+    """At large dephasing the Haken-Strobl model transfers incoherently: the
+    population difference decays at 4 J^2 gamma / (gamma^2 + Delta^2), all
+    in angular units (1/fs)."""
+    gamma_thz = 1000.0
+    rates = np.sort(-np.linalg.eigvals(reference._liouvillian(h, gamma_thz)).real)
+    assert abs(rates[0]) < 1e-12  # the steady state
+    m = h.matrix() * model.PHASE_PER_CM1_FS
+    gamma = gamma_thz * reference.THZ_TO_INV_FS
+    incoherent = 4.0 * m[0, 1] ** 2 * gamma / (gamma**2 + (m[0, 0] - m[1, 1]) ** 2)
+    assert rates[1] / incoherent == pytest.approx(1.0, abs=3e-3)
 
 
 def test_lindblad_integrate_checks_every_point_in_one_call(monkeypatch):
