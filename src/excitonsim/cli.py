@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dephasing", help="telegraph-noise ensemble CSV + Lindblad fit")
     add_common(p)
-    p.add_argument("--workers", type=int, default=1, help="parallel trajectory blocks (>= 1; at most one process per CPU)")
+    p.add_argument("--workers", type=int, default=1, help="accepted and checked (>= 1); has no effect")
     p.set_defaults(func=cmd_dephasing)
 
     p = sub.add_parser("resources", help="qubit/gate resource report (JSON)")

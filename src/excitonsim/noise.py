@@ -7,7 +7,7 @@ constant-energy stretches have geometrically distributed length). The site
 energy shift is g * sum of its fluctuators' values.
 
 Seeding: run r derives its streams from SeedSequence([master_seed, r]), so
-results are bit-identical however runs are scheduled across workers.
+a run's results do not depend on which other runs share its block.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from excitonsim.circuits import build_iteration_circuit, coherent_angle
 from excitonsim.errors import ConfigError, NumericalValidationError
 from excitonsim.model import PHASE_PER_CM1_FS, SystemHamiltonian, exact_steps
-from excitonsim.qcore import _execute_packed
+from excitonsim.qcore import NORM_TOL, _execute_packed
 
 # probability an iteration circuit may move out of the ancilla-|1> half
 _LEAK_TOL = 1e-12
@@ -51,9 +51,9 @@ def check_ensemble_memory(noise_cfg: "FluctuatorConfig", ens: "EnsembleConfig") 
     one run's sign bits, int64 (n_sites, F, intervals), and all runs' pattern
     keys, (runs, intervals, n_sites) counts in the smallest dtype that holds F.
 
-    The budget holds one copy of the frequencies. A serial ensemble peaks at
+    The budget holds one copy of the frequencies. The ensemble peaks at
     about 1.2 times their bytes, because the standard error is formed in
-    their own buffer; joining the blocks of ``workers > 1`` holds two copies."""
+    their own buffer."""
     f = noise_cfg.fluctuators_per_site
     n_intervals = max(-(-ens.n_steps // noise_cfg.switch_interval_steps(ens.dt_fs)), 1)
     need = noise_cfg.n_sites * (
@@ -287,7 +287,7 @@ def _run_frequencies(
             probs[:, i + 1] = states.real**2 + states.imag**2
 
     norm2 = probs[:, -1].sum(axis=1)
-    drifted = np.flatnonzero(~(np.abs(norm2 - 1.0) <= 1e-9))
+    drifted = np.flatnonzero(~(np.abs(norm2 - 1.0) <= NORM_TOL))
     if drifted.size:
         k = drifted[0]
         raise NumericalValidationError(
@@ -310,10 +310,8 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Average shot frequencies over ens.runs independent trajectories.
 
-    ``workers > 1`` splits the runs into min(workers, runs) contiguous
-    blocks, runs them on a pool of at most ``os.cpu_count()`` processes and
-    joins them in run order. Per-run seeds are bound to the run index, so
-    the result does not depend on ``workers``; below 1 it is a ConfigError.
+    All runs are evolved together in one block. ``workers`` selects nothing;
+    it is still accepted, and below 1 it is a ConfigError.
     """
     if noise_cfg.n_sites != h.n_sites:
         raise ConfigError("fluctuator configuration does not match the chain size")
@@ -321,32 +319,13 @@ def run_ensemble(
         raise ConfigError(f"workers must be >= 1, got {workers}")
     check_ensemble_memory(noise_cfg, ens)
     check_phase_angles(h, noise_cfg, ens.dt_fs)
-    n_blocks = min(workers, ens.runs)
-    bounds = [ens.runs * b // n_blocks for b in range(n_blocks + 1)]
-    blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    if n_blocks > 1:
-        # imported here: the pool's modules cost start-up time a serial run never uses
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(n_blocks, os.cpu_count() or 1)) as pool:
-            freqs = list(
-                pool.map(
-                    _run_frequencies,
-                    [h] * n_blocks,
-                    [noise_cfg] * n_blocks,
-                    [ens] * n_blocks,
-                    blocks,
-                )
-            )
-        stacked = np.concatenate(freqs)
-    else:
-        stacked = _run_frequencies(h, noise_cfg, ens, blocks[0])
-    p_mean = stacked.mean(axis=0)
+    freqs = _run_frequencies(h, noise_cfg, ens, range(ens.runs))
+    p_mean = freqs.mean(axis=0)
     if ens.runs > 1:
         # std(ddof=1) as numpy computes it, in the frequencies' own buffer
-        np.subtract(stacked, p_mean, out=stacked)
-        np.multiply(stacked, stacked, out=stacked)
-        p_stderr = np.sqrt(stacked.sum(axis=0) / (ens.runs - 1)) / np.sqrt(ens.runs)
+        np.subtract(freqs, p_mean, out=freqs)
+        np.multiply(freqs, freqs, out=freqs)
+        p_stderr = np.sqrt(freqs.sum(axis=0) / (ens.runs - 1)) / np.sqrt(ens.runs)
     else:
         p_stderr = np.zeros_like(p_mean)
     return EnsembleResult(

@@ -133,24 +133,20 @@ def _apply_ops(amps, num_qubits, gates) -> None:
     """Apply a run of single-target gates to ``amps`` in place.
 
     ``amps`` is shaped (2^num_qubits, *batch); every gate acts on the first
-    axis. When a gate of the run carries a (P,) angle vector, every angle of
-    the run is taken as a (P,) vector, one angle per index of the first batch
-    axis, which must then have length P.
+    axis. A gate's (P,) angle vector holds one angle per index of the first
+    batch axis, which must then have length P.
     """
-    angles = [0.0 if gate.angle is None else gate.angle for gate in gates]
-    # an angle row broadcasts over the first batch axis
-    angle_shape = ()
-    if any(isinstance(a, np.ndarray) for a in angles):
-        angles = np.broadcast_arrays(*angles)
-        n_angles = len(angles[0])
-        if amps.ndim < 2 or amps.shape[1] != n_angles:
-            raise ValueError(
-                f"per-pattern angles of shape {(len(angles), n_angles)} do not fit a register of shape {amps.shape}"
-            )
-        angle_shape = (-1,) + (1,) * (amps.ndim - 2)
     idx = np.arange(amps.shape[0], dtype=np.int64)
     state_shape = (-1,) + (1,) * (amps.ndim - 1)
-    for gate, angle in zip(gates, angles):
+    angle_shape = (-1,) + (1,) * (amps.ndim - 2)
+    for gate in gates:
+        angle = gate.angle
+        if isinstance(angle, np.ndarray):
+            if amps.ndim < 2 or amps.shape[1] != len(angle):
+                raise ValueError(
+                    f"a per-column angle vector of length {len(angle)} does not fit a register of shape {amps.shape}"
+                )
+            angle = angle.reshape(angle_shape)
         tbit = 1 << gate.targets[0]
         cmask = sum(1 << q for q in gate.controls)
         controlled = (idx & cmask) == cmask
@@ -160,7 +156,7 @@ def _apply_ops(amps, num_qubits, gates) -> None:
             # for a scalar and an array factor, which would make a column's
             # result depend on the batch it runs in
             sel = idx[controlled]
-            half = 0.5 * np.reshape(angle, angle_shape)
+            half = 0.5 * angle
             c = np.cos(half)
             s = np.where(sel & tbit, 1.0, -1.0).reshape(state_shape) * np.sin(half)
             z = amps[sel]
@@ -176,7 +172,7 @@ def _apply_ops(amps, num_qubits, gates) -> None:
             amps[i0] = amps[i1]
             amps[i1] = a0
         else:
-            half = 0.5 * np.reshape(angle, angle_shape)
+            half = 0.5 * angle
             c, s = np.cos(half), np.sin(half)
             a1 = amps[i1]
             amps[i0] = c * a0 - s * a1

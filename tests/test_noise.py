@@ -82,6 +82,13 @@ def test_noise_free_ensemble_matches_analytic_within_shot_noise():
     assert (np.abs(result.p_mean[:, 0] - p0) <= 3 * sigma + 1e-9).all()
 
 
+def assert_blocks_join_to_one(h, cfg, ens, k):
+    """The seed contract: a run's frequencies do not depend on its block."""
+    one = noise._run_frequencies(h, cfg, ens, range(ens.runs))
+    split = [noise._run_frequencies(h, cfg, ens, block) for block in (range(0, k), range(k, ens.runs))]
+    assert np.array_equal(np.concatenate(split), one)
+
+
 def test_ensemble_reproducible_and_worker_independent():
     cfg = FluctuatorConfig.uniform(300.0, 2, 125.0)
     ens = EnsembleConfig(runs=12, shots=400, dt_fs=2.0, t_max_fs=80.0, master_seed=99)
@@ -91,6 +98,7 @@ def test_ensemble_reproducible_and_worker_independent():
     assert np.array_equal(serial_a.p_mean, serial_b.p_mean)
     assert np.array_equal(serial_a.p_mean, parallel.p_mean)
     assert np.array_equal(serial_a.p_stderr, parallel.p_stderr)
+    assert_blocks_join_to_one(NEAR, cfg, ens, 5)
 
 
 def test_ensemble_mean_shift_is_unbiased():
@@ -160,6 +168,7 @@ def test_four_site_two_fluctuator_ensemble_matches_exact_mean():
     parallel = noise.run_ensemble(h, cfg, ens, workers=2)
     assert np.array_equal(serial.p_mean, parallel.p_mean)
     assert np.array_equal(serial.p_stderr, parallel.p_stderr)
+    assert_blocks_join_to_one(h, cfg, ens, 2)
 
     # piecewise-exact populations of the same trajectories (first seed child)
     exact = []
@@ -324,15 +333,16 @@ def test_ensemble_peak_memory_is_near_one_copy_of_the_frequencies():
     cfg = FluctuatorConfig.uniform(300.0, 2, 125.0)
     ens = EnsembleConfig(runs=400, shots=5000, dt_fs=2.0, t_max_fs=600.0, master_seed=6)
     freq_bytes = ens.runs * (ens.n_steps + 1) * cfg.n_sites * 8
-    tracemalloc.start()
-    try:
-        result = noise.run_ensemble(NEAR, cfg, ens)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.p_mean.shape == (301, 2)
-    # about 1.2x: the standard error is formed in the frequencies' own buffer
-    assert peak < 1.4 * freq_bytes, peak / freq_bytes
+    for workers in (1, 4):
+        tracemalloc.start()
+        try:
+            result = noise.run_ensemble(NEAR, cfg, ens, workers=workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.p_mean.shape == (301, 2)
+        # about 1.2x: the standard error is formed in the frequencies' own buffer
+        assert peak < 1.4 * freq_bytes, (workers, peak / freq_bytes)
 
 
 def test_sign_patterns_hold_one_run_of_bits_at_a_time():
@@ -358,41 +368,25 @@ def test_workers_below_one_rejected():
             noise.run_ensemble(NEAR, cfg, ens, workers=workers)
 
 
-def test_pool_is_capped_at_the_cpu_count(monkeypatch):
+def test_no_process_pool_is_started(monkeypatch):
     import concurrent.futures
 
-    pools = []
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
 
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor and runs the blocks in-process."""
+    calls = []
+    run_frequencies = noise._run_frequencies
 
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.blocks = []
-            pools.append(self)
+    def counted(*args):
+        calls.append(args[-1])
+        return run_frequencies(*args)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            for args in zip(*iterables):
-                self.blocks.append(args[-1])
-                yield fn(*args)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(noise.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(noise, "_run_frequencies", counted)
     cfg = FluctuatorConfig.uniform(300.0, 2, 125.0)
     ens = EnsembleConfig(runs=5, shots=50, dt_fs=2.0, t_max_fs=40.0, master_seed=8)
-    pooled = noise.run_ensemble(NEAR, cfg, ens, workers=1000)
-    assert [pool.max_workers for pool in pools] == [2]
-    assert pools[0].blocks == [range(r, r + 1) for r in range(5)]
-    serial = noise.run_ensemble(NEAR, cfg, ens, workers=1)
-    assert np.array_equal(pooled.p_mean, serial.p_mean)
-    assert np.array_equal(pooled.p_stderr, serial.p_stderr)
-
-    monkeypatch.setattr(noise.os, "cpu_count", lambda: None)
-    noise.run_ensemble(NEAR, cfg, ens, workers=3)
-    assert pools[-1].max_workers == 1 and len(pools[-1].blocks) == 3
+    many = noise.run_ensemble(NEAR, cfg, ens, workers=1000)
+    one = noise.run_ensemble(NEAR, cfg, ens, workers=1)
+    assert calls == [range(5), range(5)]
+    assert np.array_equal(many.p_mean, one.p_mean)
+    assert np.array_equal(many.p_stderr, one.p_stderr)

@@ -176,6 +176,38 @@ def test_liouvillian_slowest_decay_reaches_the_incoherent_rate(h):
     assert rates[1] / incoherent == pytest.approx(1.0, abs=3e-3)
 
 
+@pytest.mark.parametrize(
+    "h, p1_at_optimum, p1_coherent", [(NEAR, 0.4853, 0.4406), (NON, 0.4234, 0.0820)], ids=["near", "non"]
+)
+def test_dephasing_assisted_transfer_peaks_at_the_detuning(h, p1_at_optimum, p1_coherent):
+    """Environment-assisted transfer in the Haken-Strobl model: the site-1
+    population averaged over [0, 600] fs is largest near gamma = 2 pi c |Delta|,
+    where the dephasing broadens the two site energies into each other, and
+    there it exceeds the coherent (gamma = 0) value."""
+    t = np.arange(301) * 2.0
+
+    def mean_p1(log_gamma):
+        return reference.lindblad_integrate(h, math.exp(log_gamma), t)[:, 1, 1].real.mean()
+
+    # a log scan over 1-1000 THz, then golden section on the best point's neighbours
+    scan = np.linspace(math.log(1.0), math.log(1000.0), 121)
+    best = int(np.argmax([mean_p1(x) for x in scan]))
+    assert 0 < best < scan.size - 1
+    a, b = scan[best - 1], scan[best + 1]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    while b - a > 1e-4:
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        a, b = (a, d) if mean_p1(c) > mean_p1(d) else (c, b)
+    optimum_thz = math.exp((a + b) / 2.0)
+    delta_cm1 = abs(h.site_energies_cm1[0] - h.site_energies_cm1[1])
+    detuning_thz = model.PHASE_PER_CM1_FS * delta_cm1 / reference.THZ_TO_INV_FS
+    assert optimum_thz / detuning_thz == pytest.approx(1.0, abs=0.03)
+    best_p1 = mean_p1(math.log(optimum_thz))
+    coherent_p1 = reference.lindblad_integrate(h, 0.0, t)[:, 1, 1].real.mean()
+    assert (best_p1, coherent_p1) == pytest.approx((p1_at_optimum, p1_coherent), abs=1e-4)
+    assert best_p1 > coherent_p1
+
+
 def test_lindblad_integrate_checks_every_point_in_one_call(monkeypatch):
     calls = []
     check = reference.check_density_matrices
