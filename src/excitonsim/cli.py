@@ -400,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="excitonsim",
         description="Exciton-transfer circuit simulations with telegraph-noise dephasing",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -408,16 +409,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config master seed")
         p.add_argument("--output-dir", default=None, help="output directory (else config, else $" + ENV_OUTPUT_DIR + ")")
 
-    p = sub.add_parser("coherent", help="isolated-chain evolution CSV")
+    p = sub.add_parser("coherent", allow_abbrev=False, help="isolated-chain evolution CSV")
     add_common(p)
     p.set_defaults(func=cmd_coherent)
 
-    p = sub.add_parser("dephasing", help="telegraph-noise ensemble CSV + Lindblad fit")
+    p = sub.add_parser("dephasing", allow_abbrev=False, help="telegraph-noise ensemble CSV + Lindblad fit")
     add_common(p)
     p.add_argument("--workers", type=int, default=1, help="accepted and checked (>= 1); has no effect")
     p.set_defaults(func=cmd_dephasing)
 
-    p = sub.add_parser("resources", help="qubit/gate resource report (JSON)")
+    p = sub.add_parser("resources", allow_abbrev=False, help="qubit/gate resource report (JSON)")
     p.add_argument("--n-sites", type=int, required=True)
     p.add_argument("--fluctuators", type=int, default=1)
     p.add_argument("--t-fs", type=float, default=0.0)
@@ -426,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_resources)
 
-    p = sub.add_parser("fit", help="refit the dephasing rate of an emitted ensemble CSV")
+    p = sub.add_parser("fit", allow_abbrev=False, help="refit the dephasing rate of an emitted ensemble CSV")
     p.add_argument("csv")
     p.add_argument("--preset", choices=sorted(PRESETS), default=None)
     p.add_argument("--out", default=None)

@@ -168,17 +168,10 @@ def _two_site(h: SystemHamiltonian, name: str) -> tuple[float, float, float, flo
 
 
 def eigendecompose(h: SystemHamiltonian) -> EigenDecomposition:
-    """Diagonalize; closed form for two sites, Jacobi iteration otherwise."""
-    if h.n_sites == 2:
-        eps0, eps1, _, omega = _two_site(h, "eigendecompose")
-        mean = 0.5 * (eps0 + eps1)
-        energies = np.array([mean + 0.5 * omega, mean - 0.5 * omega])
-        alpha = mixing_angle(h)
-        c, s = math.cos(0.5 * alpha), math.sin(0.5 * alpha)
-        transform = np.array([[c, s], [-s, c]])
-        return EigenDecomposition(energies, transform)
+    """Diagonalize by Jacobi iteration, for every chain length."""
     w, v = _jacobi_eigh(h.matrix())
-    order = np.argsort(w)[::-1]
+    # not np.argsort: its first call maps numpy's sort kernels, +0.25 MiB of RSS
+    order = sorted(range(w.size), key=w.__getitem__)[::-1]
     return EigenDecomposition(w[order], v[:, order].T)
 
 

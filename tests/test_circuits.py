@@ -59,7 +59,22 @@ def test_negative_time_rejected():
         circuits.build_coherent_circuit(NEAR, -1.0)
 
 
-@pytest.mark.parametrize("h", [NEAR, NON], ids=["near", "non"])
+# The two-site circuit takes its rotation from mixing_angle and its phases
+# from the Jacobi energies; the custom chains cover every sign and
+# degeneracy of the closed form, and a splitting far above the presets'.
+TWO_SITE_CHAINS = {
+    "near": NEAR,
+    "non": NON,
+    "eps0-below-eps1": SystemHamiltonian.two_site(12300.0, 12900.0, 132.0),
+    "negative-j": SystemHamiltonian.two_site(13000.0, 12900.0, -126.0),
+    "uncoupled-eps0-above": SystemHamiltonian.two_site(13000.0, 12900.0, 0.0),
+    "uncoupled-eps0-below": SystemHamiltonian.two_site(12900.0, 13000.0, 0.0),
+    "degenerate-coupled": SystemHamiltonian.two_site(12900.0, 12900.0, 126.0),
+    "large": SystemHamiltonian([-5e5, 1e6], [[0.0, -1e6], [-1e6, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("h", TWO_SITE_CHAINS.values(), ids=TWO_SITE_CHAINS.keys())
 def test_circuit_matches_analytic_oracle_on_grid(h):
     worst = 0.0
     for t in np.linspace(0.0, 300.0, 60):

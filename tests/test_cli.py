@@ -203,6 +203,21 @@ def test_dephasing_rejects_workers_below_one_before_any_work(tmp_path, capsys, m
     assert not (tmp_path / "dephasing.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("coherent", "--out", "x"), ("dephasing", "--out", "x"), ("dephasing", "--work", "3")],
+)
+def test_abbreviated_flags_are_usage_errors(tmp_path, capsys, monkeypatch, command, flag, value):
+    cfg = coherent_config(tmp_path) if command == "coherent" else dephasing_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     import excitonsim
 

@@ -333,6 +333,8 @@ def test_ensemble_peak_memory_is_near_one_copy_of_the_frequencies():
     cfg = FluctuatorConfig.uniform(300.0, 2, 125.0)
     ens = EnsembleConfig(runs=400, shots=5000, dt_fs=2.0, t_max_fs=600.0, master_seed=6)
     freq_bytes = ens.runs * (ens.n_steps + 1) * cfg.n_sites * 8
+    import numpy.random  # noqa: F401  loaded lazily; trace the ensemble, not this import
+
     for workers in (1, 4):
         tracemalloc.start()
         try:
