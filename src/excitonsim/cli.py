@@ -15,6 +15,7 @@ numerical validation failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -156,8 +157,8 @@ def _output_path(cfg: dict, args, default_name: str) -> Path:
 
 def _out_file(out: str | None) -> Path | None:
     """The --out file, checked before any work: a path in an existing
-    directory that is not itself a directory."""
-    if not out:
+    directory that is not itself a directory, so an empty one is refused."""
+    if out is None:
         return None
     path = Path(out)
     if "\0" in out or path.is_dir() or not path.parent.is_dir():
@@ -170,6 +171,32 @@ def _write_text(path: Path, text: str) -> None:
         path.write_text(text, newline="\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _report(payload: dict, path: Path | None = None) -> str:
+    """The text of a JSON report, indented with sorted keys, also written
+    with a trailing newline to ``path`` unless that is None."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    except ValueError as exc:  # an integer beyond Python's int-to-text digit limit
+        raise ConfigError("the report has a count with too many digits to print as JSON") from exc
+    if path is not None:
+        _write_text(path, text + "\n")
+    return text
+
+
+def _csv_row_bytes(n_columns: int) -> int:
+    """Bytes ``write_csv`` holds per row at its peak: the row as Python
+    floats (32 B a cell) and as text (at most 17 B a cell), with 128 B of
+    headers; the joined text comes after the floats are freed."""
+    return 128 + 49 * n_columns
+
+
+def _check_phases(n_points: int, what: str, *bytes_per_point: int) -> None:
+    """ConfigError unless a command's largest phase fits in physical memory;
+    a phase's bytes per time point count what earlier phases left alive."""
+    need = n_points * max(bytes_per_point) + noise.FIXED_BYTES
+    noise.check_memory(need, f"{what} gives {n_points:.3g} time points")
 
 
 def write_csv(path: Path, columns: list[str], rows, config_echo: dict) -> None:
@@ -240,9 +267,12 @@ def cmd_coherent(args) -> int:
     columns = ["t_fs", "p0_analytic", "p1_analytic", "p0_circuit", "p1_circuit"]
     if shots > 0:
         columns += ["p0_sampled", "p1_sampled"]
-    # per time point: the circuit's complex128 amplitudes and the float64 output columns
-    need = (n + 1) * (16 * (2 << h.n_system_qubits) + 8 * len(columns))
-    noise.check_memory(need, f"t_max_fs / step_fs gives {n + 1:.3g} time points")
+    # the circuit holds the time and analytic columns and up to five copies of
+    # its complex128 amplitudes; the CSV each column (and the shots' counts)
+    # as an array and in their stack, and write_csv's rows
+    circuit_bytes = 8 * (1 + h.n_sites) + 80 * (2 << h.n_system_qubits)
+    csv_bytes = 16 * len(columns) + 16 + _csv_row_bytes(len(columns))
+    _check_phases(n + 1, "t_max_fs / step_fs", circuit_bytes, csv_bytes)
     path = _output_path(cfg, args, "coherent.csv")
     t_grid = np.arange(n + 1) * step
 
@@ -293,8 +323,16 @@ def cmd_dephasing(args) -> int:
         t_max_fs=_get(ens_sec, "t_max_fs", float, where="ensemble"),
         master_seed=seed,
     )
-    # surface what would fail the ensemble or the fit before doing any work
+    columns = ["t_fs", "p0_mean", "p1_mean", "p0_stderr", "p1_stderr", "p0_lindblad_fit", "p1_lindblad_fit"]
+    # surface what would fail the ensemble or the fit before doing any work.
+    # The ensemble's time, mean and stderr columns live on; the fit holds the
+    # density matrices of its scan rates and two complex trace temporaries a
+    # rate, and the CSV those of the fitted rate, the row stack and its rows.
     noise.check_ensemble_memory(noise_cfg, ens)
+    kept, rho = 8 * (1 + 2 * h.n_sites), 16 * h.n_sites**2
+    fit_bytes = kept + reference.SCAN_RATES * (rho + 32)
+    csv_bytes = kept + rho + 8 * len(columns) + _csv_row_bytes(len(columns))
+    _check_phases(ens.n_steps + 1, "t_max_fs / dt_fs", fit_bytes, csv_bytes)
     noise.check_phase_angles(h, noise_cfg, ens.dt_fs)
     reference.check_fit_span(h, ens.n_steps * ens.dt_fs)
     path = _output_path(cfg, args, "dephasing.csv")
@@ -315,38 +353,18 @@ def cmd_dephasing(args) -> int:
             "switching_rate_thz": noise_cfg.switching_rate_thz,
             "fluctuators_per_site": noise_cfg.fluctuators_per_site,
         },
-        "ensemble": {
-            "runs": ens.runs,
-            "shots": ens.shots,
-            "dt_fs": ens.dt_fs,
-            "t_max_fs": ens.t_max_fs,
-            "master_seed": ens.master_seed,
-        },
+        "ensemble": dataclasses.asdict(ens),
     }
     rows = np.column_stack([result.t_fs, result.p_mean, result.p_stderr, lind])
-    columns = [
-        "t_fs",
-        "p0_mean",
-        "p1_mean",
-        "p0_stderr",
-        "p1_stderr",
-        "p0_lindblad_fit",
-        "p1_lindblad_fit",
-    ]
     write_csv(path, columns, rows, echo)
-    _write_text(
+    _report(
+        {
+            "gamma_deph_thz": fit.gamma_deph_thz,
+            "residual_rms": fit.residual_rms,
+            "n_evaluations": fit.n_evaluations,
+            "config": echo,
+        },
         sidecar,
-        json.dumps(
-            {
-                "gamma_deph_thz": fit.gamma_deph_thz,
-                "residual_rms": fit.residual_rms,
-                "n_evaluations": fit.n_evaluations,
-                "config": echo,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
     )
     print(path)
     print(sidecar)
@@ -360,13 +378,7 @@ def cmd_resources(args) -> int:
         # the switch interval does not depend on the chain, so one site checks it
         fluctuators = noise.FluctuatorConfig.uniform(0.0, 1, args.gamma_thz)
         report["switch_interval_steps"] = fluctuators.switch_interval_steps(args.dt_fs)
-    try:
-        text = json.dumps(report, indent=2, sort_keys=True)
-    except ValueError as exc:  # an integer beyond Python's int-to-text digit limit
-        raise ConfigError("resource counts have too many digits to print as JSON") from exc
-    if out:
-        _write_text(out, text + "\n")
-    print(text)
+    print(_report(report, out))
     return 0
 
 
@@ -385,14 +397,7 @@ def cmd_fit(args) -> int:
     t = data[:, columns.index("t_fs")]
     pops = data[:, [columns.index("p0_mean"), columns.index("p1_mean")]]
     fit = reference.fit_dephasing_rate(t, pops, h)
-    text = json.dumps(
-        {"gamma_deph_thz": fit.gamma_deph_thz, "residual_rms": fit.residual_rms},
-        indent=2,
-        sort_keys=True,
-    )
-    if out:
-        _write_text(out, text + "\n")
-    print(text)
+    print(_report({"gamma_deph_thz": fit.gamma_deph_thz, "residual_rms": fit.residual_rms}, out))
     return 0
 
 

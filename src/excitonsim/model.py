@@ -24,6 +24,9 @@ from excitonsim.errors import ConfigError
 SPEED_OF_LIGHT_CM_PER_FS = 2.99792458e-5
 PHASE_PER_CM1_FS = 2.0 * math.pi * SPEED_OF_LIGHT_CM_PER_FS
 _DIVISIBILITY_RTOL = 1e-9
+# _jacobi_eigh's sweep limit, and its off-diagonal tolerance relative to the largest entry
+_JACOBI_SWEEPS = 50
+_JACOBI_TOL = 1e-14
 
 
 def exact_steps(span: float, step: float, what: str, least: int = 0) -> int:
@@ -122,7 +125,7 @@ class EigenDecomposition:
         object.__setattr__(self, "transform", _as_readonly(self.transform))
 
 
-def _jacobi_eigh(a: np.ndarray, sweeps: int = 50, tol: float = 1e-14):
+def _jacobi_eigh(a: np.ndarray):
     """Cyclic Jacobi diagonalization of a small real symmetric matrix.
 
     Returns (eigenvalues, V) with columns of V the eigenvectors, unsorted.
@@ -132,12 +135,12 @@ def _jacobi_eigh(a: np.ndarray, sweeps: int = 50, tol: float = 1e-14):
     n = a.shape[0]
     v = np.eye(n)
     scale = max(np.abs(a).max(), 1.0)
-    for _ in range(sweeps):
+    for _ in range(_JACOBI_SWEEPS):
         off = 0.0
         for p in range(n - 1):
             for q in range(p + 1, n):
                 off = max(off, abs(a[p, q]))
-                if abs(a[p, q]) <= tol * scale:
+                if abs(a[p, q]) <= _JACOBI_TOL * scale:
                     continue
                 # rotation angle zeroing a[p, q]
                 theta = 0.5 * math.atan2(2.0 * a[p, q], a[p, p] - a[q, q])
@@ -152,7 +155,7 @@ def _jacobi_eigh(a: np.ndarray, sweeps: int = 50, tol: float = 1e-14):
                 vp, vq = v[:, p].copy(), v[:, q].copy()
                 v[:, p] = c * vp + s * vq
                 v[:, q] = -s * vp + c * vq
-        if off <= tol * scale:
+        if off <= _JACOBI_TOL * scale:
             break
     return np.diag(a).copy(), v
 

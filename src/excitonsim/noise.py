@@ -27,6 +27,9 @@ from excitonsim.qcore import NORM_TOL, _execute_packed
 _LEAK_TOL = 1e-12
 # numpy's multinomial sampler counts in int64
 MAX_SHOTS = np.iinfo(np.int64).max
+# what a command holds that does not grow with runs or points (the config,
+# the circuits, the fit's propagators, lazy imports): measured under 0.2 MiB
+FIXED_BYTES = 2**18
 
 
 def _physical_memory_bytes() -> int:
@@ -46,25 +49,26 @@ def check_memory(need: int, what: str) -> None:
 
 
 def check_ensemble_memory(noise_cfg: "FluctuatorConfig", ens: "EnsembleConfig") -> None:
-    """ConfigError if the ensemble's largest arrays would not fit in physical
-    memory: the per-run shot frequencies, float64 (runs, n_steps + 1, n_sites),
-    one run's sign bits, int64 (n_sites, F, intervals), and all runs' pattern
-    keys, (runs, intervals, n_sites) counts in the smallest dtype that holds F.
+    """ConfigError if the ensemble's peak would not fit in physical memory.
 
-    The budget holds one copy of the frequencies. The ensemble peaks at
-    about 1.2 times their bytes, because the standard error is formed in
-    their own buffer."""
-    f = noise_cfg.fluctuators_per_site
+    Its phases peak one after another: the draw (one run's int64 sign bits,
+    and every run's keys of n_sites counts per interval in the smallest dtype
+    that holds F, with the copies and int64 indices np.unique makes), the
+    compile (six copies of a (2D, D) complex128 block, D = n_sites, for each
+    of at most (F + 1)^n_sites patterns) and the steps (the float64 shot
+    frequencies, the int32 pattern index, and per point the mean, its error
+    and one run's counts). Each run also holds a seed sequence and state."""
+    f, n = noise_cfg.fluctuators_per_site, noise_cfg.n_sites
+    n_points = ens.n_steps + 1
     n_intervals = max(-(-ens.n_steps // noise_cfg.switch_interval_steps(ens.dt_fs)), 1)
-    need = noise_cfg.n_sites * (
-        ens.runs * (ens.n_steps + 1) * 8
-        + f * n_intervals * 8
-        + ens.runs * n_intervals * np.min_scalar_type(f).itemsize
-    )
+    keys = ens.runs * n_intervals
+    draw = n * (f + 1) * n_intervals * 8 + keys * (3 * n * np.min_scalar_type(f).itemsize + 32)
+    compile_ = min((f + 1) ** n, keys) * 6 * 32 * n * n
+    steps = ens.runs * (n_points * 8 * n + n_intervals * 4) + n_points * 8 * (4 * n + 1)
     check_memory(
-        need,
-        f"runs={ens.runs} with {noise_cfg.fluctuators_per_site} fluctuators per site "
-        "(per-run frequencies and pattern keys)",
+        max(draw, compile_, steps) + ens.runs * (1024 + 32 * n * n) + FIXED_BYTES,
+        f"runs={ens.runs} with {f} fluctuators per site "
+        "(per-run frequencies, pattern keys and step unitaries)",
     )
 
 

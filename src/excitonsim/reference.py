@@ -40,9 +40,10 @@ POPULATION_TOL = 1e-6
 
 # largest RK4 sub-step of the Lindblad integration
 MAX_STEP_FS = 0.5
-# the fit's log-spaced scan runs over these rates, and its golden-section
-# search stops once the bracket is this narrow in log(gamma)
+# the fit's scan integrates SCAN_RATES log-spaced rates over this range as one
+# stack; its golden-section search stops once the bracket is this narrow in log(gamma)
 BRACKET_THZ = (0.1, 500.0)
+SCAN_RATES = 17
 LOG_TOL = 1e-3
 
 
@@ -312,7 +313,7 @@ def fit_dephasing_rate(t_fs, populations, h: SystemHamiltonian) -> FitResult:
         return [float(((q - p) ** 2).sum()) for q in pops], rhos
 
     lo, hi = BRACKET_THZ
-    grid = np.linspace(math.log(lo), math.log(hi), 17)
+    grid = np.linspace(math.log(lo), math.log(hi), SCAN_RATES)
     values, _ = objectives(grid)
     best = int(np.argmin(values))
     if best == len(grid) - 1:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -419,18 +420,20 @@ def test_dephasing_rejects_runs_too_large_to_allocate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["resources", "fit"])
-@pytest.mark.parametrize("out", ["directory", "missing_parent"])
+@pytest.mark.parametrize("out", ["directory", "missing_parent", "empty"])
 def test_out_must_be_a_file_in_an_existing_directory(tmp_path, capsys, monkeypatch, command, out):
-    target = tmp_path if out == "directory" else tmp_path / "missing" / "report.json"
+    target = {"directory": str(tmp_path), "missing_parent": str(tmp_path / "missing" / "report.json"), "empty": ""}[out]
+    monkeypatch.chdir(tmp_path)
     if command == "resources":
         argv = ["resources", "--n-sites", "2"]
     else:
         # the destination is checked before the fit
         monkeypatch.setattr(reference, "fit_dephasing_rate", None)
         argv = ["fit", fit_csv(tmp_path, FROZEN_ROWS)]
-    assert cli.main(argv + ["--out", str(target)]) == 2
+    before = sorted(tmp_path.iterdir())
+    assert cli.main(argv + ["--out", target]) == 2
     assert "--out" in assert_one_line_error(capsys, "config error:")
-    assert not (tmp_path / "missing").exists()
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_resources_rejects_non_positive_switching_rate(capsys):
@@ -510,6 +513,63 @@ def test_coherent_rejects_a_grid_too_large_for_memory(tmp_path, capsys):
         err = assert_one_line_error(capsys, "config error:")
         assert "time points" in err and len(err) <= 160, err
         assert not (tmp_path / "out").exists()
+
+
+def traced_peak_and_budget(monkeypatch, argv) -> tuple[int, int]:
+    """A command's tracemalloc peak, and the largest need its pre-flight
+    checked against physical memory."""
+    needs = []
+    check = noise.check_memory
+
+    def recording(need, what):
+        needs.append(need)
+        check(need, what)
+
+    monkeypatch.setattr(noise, "check_memory", recording)
+    import numpy.random  # noqa: F401  loaded lazily; trace the command, not this import
+
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, max(needs)
+
+
+@pytest.mark.parametrize("shots", [0, 100])
+def test_coherent_peak_memory_is_within_its_budget(tmp_path, capsys, monkeypatch, shots):
+    cfg = coherent_config(tmp_path, t_max_fs=10_000.0, step_fs=0.5, shots=shots)  # 20 001 points
+    peak, budget = traced_peak_and_budget(monkeypatch, ["coherent", "--config", cfg])
+    # within the budget, and close enough to it that the budget means something
+    assert 0.7 * budget < peak <= budget, peak / budget
+
+
+@pytest.mark.parametrize("runs, steps", [(1, 5000), (250, 300)])
+def test_dephasing_peak_memory_is_within_its_budget(tmp_path, capsys, monkeypatch, runs, steps):
+    cfg = dephasing_config(tmp_path, ensemble={"runs": runs, "t_max_fs": 2.0 * steps})
+    peak, budget = traced_peak_and_budget(monkeypatch, ["dephasing", "--config", cfg])
+    assert 0.7 * budget < peak <= budget, peak / budget
+
+
+def test_dephasing_rejects_a_fit_too_large_for_memory_before_the_ensemble(tmp_path, capsys, monkeypatch):
+    """At 1 run x 5000 steps the ensemble needs about 0.7 MiB and the fit's
+    stack of scan rates about 8 MiB; 4 MiB of memory fails the fit alone."""
+    monkeypatch.setattr(noise, "_physical_memory_bytes", lambda: 4 * 2**20)
+    noise_cfg = noise.FluctuatorConfig.uniform(300.0, 2, 125.0)
+    ens = noise.EnsembleConfig(runs=1, shots=400, dt_fs=2.0, t_max_fs=10_000.0, master_seed=12)
+    noise.check_ensemble_memory(noise_cfg, ens)
+
+    def ensemble(*args, **kwargs):
+        raise AssertionError("the ensemble ran")
+
+    monkeypatch.setattr(noise, "run_ensemble", ensemble)
+    payload = json.loads(Path(dephasing_config(tmp_path, ensemble={"runs": 1, "t_max_fs": 10_000.0})).read_text())
+    payload["output"]["directory"] = str(tmp_path / "out")
+    cfg = write_config(tmp_path, payload)
+    assert cli.main(["dephasing", "--config", cfg]) == 2
+    assert "5e+03 time points" in assert_one_line_error(capsys, "config error:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_coherent_norm_drift_is_a_numerical_failure_naming_the_time(tmp_path, capsys, monkeypatch):

@@ -347,6 +347,31 @@ def test_ensemble_peak_memory_is_near_one_copy_of_the_frequencies():
         assert peak < 1.4 * freq_bytes, (workers, peak / freq_bytes)
 
 
+@pytest.mark.parametrize(
+    "n_sites, per_site, rate_thz, runs",
+    [(2, 1, 125.0, 250), (2, 1, 500.0, 100), (2, 40, 125.0, 100), (4, 2, 125.0, 50)],
+    ids=["acceptance", "one-step-interval", "many-fluctuators", "four-sites"],
+)
+def test_ensemble_peak_memory_is_within_its_budget(monkeypatch, n_sites, per_site, rate_thz, runs):
+    """check_ensemble_memory's need bounds the traced peak whichever phase
+    sets it: the steps, the draw of one-step intervals, or the compile of
+    many distinct patterns."""
+    h = NEAR if n_sites == 2 else four_site_chain()
+    cfg = FluctuatorConfig.uniform(300.0, n_sites, rate_thz, fluctuators_per_site=per_site)
+    ens = EnsembleConfig(runs=runs, shots=100, dt_fs=2.0, t_max_fs=600.0, master_seed=6)
+    needs = []
+    monkeypatch.setattr(noise, "check_memory", lambda need, what: needs.append(need))
+    import numpy.random  # noqa: F401  loaded lazily; trace the ensemble, not this import
+
+    tracemalloc.start()
+    try:
+        noise.run_ensemble(h, cfg, ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(needs) == 1 and peak <= needs[0], peak / needs[0]
+
+
 def test_sign_patterns_hold_one_run_of_bits_at_a_time():
     """check_ensemble_memory budgets one run's int64 sign bits for the draw."""
     cfg = FluctuatorConfig.uniform(300.0, 2, 125.0, fluctuators_per_site=20_000)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,16 @@ K = 2.0 * math.pi * 2.99792458e-5
 
 NEAR = SystemHamiltonian.near_resonant()
 NON = SystemHamiltonian.non_resonant()
+
+
+def test_readme_library_example_runs(capsys):
+    """README's library example runs as written, and its comment holds:
+    fit.rho is the array lindblad_integrate returns for the fitted rate."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(example, namespace)
+    assert np.array_equal(namespace["fit"].rho, namespace["rho"])
 
 
 def test_exact_propagation_with_zero_noise_matches_closed_form():
