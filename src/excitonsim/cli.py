@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -166,9 +167,12 @@ def _out_file(out: str | None) -> Path | None:
     return path
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_lines(path: Path, lines) -> None:
+    """Write each line with its newline as it comes, so no caller holds a whole file."""
     try:
-        path.write_text(text, newline="\n")
+        with path.open("w", newline="\n") as f:
+            for line in lines:
+                f.write(line + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -181,30 +185,21 @@ def _report(payload: dict, path: Path | None = None) -> str:
     except ValueError as exc:  # an integer beyond Python's int-to-text digit limit
         raise ConfigError("the report has a count with too many digits to print as JSON") from exc
     if path is not None:
-        _write_text(path, text + "\n")
+        _write_lines(path, [text])
     return text
 
 
-def _csv_row_bytes(n_columns: int) -> int:
-    """Bytes ``write_csv`` holds per row at its peak: the row as Python
-    floats (32 B a cell) and as text (at most 17 B a cell), with 128 B of
-    headers; the joined text comes after the floats are freed."""
-    return 128 + 49 * n_columns
-
-
-def _check_phases(n_points: int, what: str, *bytes_per_point: int) -> None:
-    """ConfigError unless a command's largest phase fits in physical memory;
-    a phase's bytes per time point count what earlier phases left alive."""
-    need = n_points * max(bytes_per_point) + noise.FIXED_BYTES
+def _check_points(n_points: int, what: str, bytes_per_point: int) -> None:
+    """ConfigError unless the phase that sets a command's peak, at
+    ``bytes_per_point`` per time point, fits in physical memory."""
+    need = n_points * bytes_per_point + noise.FIXED_BYTES
     noise.check_memory(need, f"{what} gives {n_points:.3g} time points")
 
 
 def write_csv(path: Path, columns: list[str], rows, config_echo: dict) -> None:
-    lines = ["# config = " + json.dumps(config_echo, sort_keys=True)]
-    lines.append(",".join(columns))
-    for row in np.asarray(rows, dtype=np.float64).tolist():
-        lines.append(",".join(format(x, ".9g") for x in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    head = ["# config = " + json.dumps(config_echo, sort_keys=True), ",".join(columns)]
+    body = (",".join(format(x, ".9g") for x in row.tolist()) for row in np.asarray(rows, dtype=np.float64))
+    _write_lines(path, itertools.chain(head, body))
 
 
 def read_csv(path: str):
@@ -267,12 +262,8 @@ def cmd_coherent(args) -> int:
     columns = ["t_fs", "p0_analytic", "p1_analytic", "p0_circuit", "p1_circuit"]
     if shots > 0:
         columns += ["p0_sampled", "p1_sampled"]
-    # the circuit holds the time and analytic columns and up to five copies of
-    # its complex128 amplitudes; the CSV each column (and the shots' counts)
-    # as an array and in their stack, and write_csv's rows
-    circuit_bytes = 8 * (1 + h.n_sites) + 80 * (2 << h.n_system_qubits)
-    csv_bytes = 16 * len(columns) + 16 + _csv_row_bytes(len(columns))
-    _check_phases(n + 1, "t_max_fs / step_fs", circuit_bytes, csv_bytes)
+    # the circuit sets the peak: time and analytic columns, five copies of its amplitudes
+    _check_points(n + 1, "t_max_fs / step_fs", 8 * (1 + h.n_sites) + 80 * (2 << h.n_system_qubits))
     path = _output_path(cfg, args, "coherent.csv")
     t_grid = np.arange(n + 1) * step
 
@@ -324,15 +315,11 @@ def cmd_dephasing(args) -> int:
         master_seed=seed,
     )
     columns = ["t_fs", "p0_mean", "p1_mean", "p0_stderr", "p1_stderr", "p0_lindblad_fit", "p1_lindblad_fit"]
-    # surface what would fail the ensemble or the fit before doing any work.
-    # The ensemble's time, mean and stderr columns live on; the fit holds the
-    # density matrices of its scan rates and two complex trace temporaries a
-    # rate, and the CSV those of the fitted rate, the row stack and its rows.
+    # surface what would fail the ensemble or the fit before doing any work;
+    # the fit runs beside the ensemble's time, mean and stderr columns
     noise.check_ensemble_memory(noise_cfg, ens)
-    kept, rho = 8 * (1 + 2 * h.n_sites), 16 * h.n_sites**2
-    fit_bytes = kept + reference.SCAN_RATES * (rho + 32)
-    csv_bytes = kept + rho + 8 * len(columns) + _csv_row_bytes(len(columns))
-    _check_phases(ens.n_steps + 1, "t_max_fs / dt_fs", fit_bytes, csv_bytes)
+    fit_bytes = 8 * (1 + 2 * h.n_sites) + reference.fit_bytes_per_point(h.n_sites)
+    _check_points(ens.n_steps + 1, "t_max_fs / dt_fs", fit_bytes)
     noise.check_phase_angles(h, noise_cfg, ens.dt_fs)
     reference.check_fit_span(h, ens.n_steps * ens.dt_fs)
     path = _output_path(cfg, args, "dephasing.csv")
@@ -396,6 +383,8 @@ def cmd_fit(args) -> int:
         raise ConfigError("no embedded hamiltonian; pass --preset")
     t = data[:, columns.index("t_fs")]
     pops = data[:, [columns.index("p0_mean"), columns.index("p1_mean")]]
+    # the fit runs beside the CSV's data and the copied populations
+    _check_points(len(t), args.csv, 8 * (len(columns) + h.n_sites) + reference.fit_bytes_per_point(h.n_sites))
     fit = reference.fit_dephasing_rate(t, pops, h)
     print(_report({"gamma_deph_thz": fit.gamma_deph_thz, "residual_rms": fit.residual_rms}, out))
     return 0

@@ -554,7 +554,7 @@ def test_dephasing_peak_memory_is_within_its_budget(tmp_path, capsys, monkeypatc
 
 def test_dephasing_rejects_a_fit_too_large_for_memory_before_the_ensemble(tmp_path, capsys, monkeypatch):
     """At 1 run x 5000 steps the ensemble needs about 0.7 MiB and the fit's
-    stack of scan rates about 8 MiB; 4 MiB of memory fails the fit alone."""
+    stack of scan rates about 7 MiB; 4 MiB of memory fails the fit alone."""
     monkeypatch.setattr(noise, "_physical_memory_bytes", lambda: 4 * 2**20)
     noise_cfg = noise.FluctuatorConfig.uniform(300.0, 2, 125.0)
     ens = noise.EnsembleConfig(runs=1, shots=400, dt_fs=2.0, t_max_fs=10_000.0, master_seed=12)
@@ -570,6 +570,59 @@ def test_dephasing_rejects_a_fit_too_large_for_memory_before_the_ensemble(tmp_pa
     assert cli.main(["dephasing", "--config", cfg]) == 2
     assert "5e+03 time points" in assert_one_line_error(capsys, "config error:")
     assert not (tmp_path / "out").exists()
+
+
+def lindblad_series_csv(tmp_path: Path, n_points: int) -> str:
+    """A fit CSV of exact near-resonant Lindblad populations at 6 THz, 2 fs apart."""
+    t = 2.0 * np.arange(n_points)
+    pops = reference.lindblad_populations(SystemHamiltonian.near_resonant(), 6.0, t)
+    return fit_csv(tmp_path, np.column_stack([t, pops]).tolist())
+
+
+def test_fit_peak_memory_is_within_its_budget(tmp_path, capsys, monkeypatch):
+    path = lindblad_series_csv(tmp_path, 5001)
+    peak, budget = traced_peak_and_budget(monkeypatch, ["fit", path])
+    assert 0.7 * budget < peak <= budget, peak / budget
+
+
+def test_fit_rejects_a_series_too_large_for_memory_before_fitting(tmp_path, capsys, monkeypatch):
+    """At 5001 points the fit's stack of scan rates needs about 7 MiB."""
+    path = lindblad_series_csv(tmp_path, 5001)
+    monkeypatch.setattr(noise, "_physical_memory_bytes", lambda: 4 * 2**20)
+    monkeypatch.setattr(reference, "fit_dephasing_rate", None)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["fit", path, "--out", "report.json"]) == 2
+    assert "5e+03 time points" in assert_one_line_error(capsys, "config error:")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_write_csv_streams_its_rows(tmp_path):
+    """write_csv's traced peak does not grow with the row count: each row is
+    written as soon as it is formatted (about 28 KiB of buffers at 2 000 and
+    at 20 000 rows)."""
+    peaks = []
+    for n_rows in (2_000, 20_000):
+        rows = np.random.default_rng(n_rows).random((n_rows, 7))
+        tracemalloc.start()
+        try:
+            cli.write_csv(tmp_path / "rows.csv", list("abcdefg"), rows, {"rows": n_rows})
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4096 and peaks[1] < 64 * 2**10, peaks
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["coherent", "resources"])
+def test_a_failed_write_is_one_line(tmp_path, capsys, command):
+    if command == "coherent":
+        payload = json.loads(Path(coherent_config(tmp_path)).read_text())
+        payload["output"] = {"directory": "/dev", "basename": "full"}
+        argv = ["coherent", "--config", write_config(tmp_path, payload)]
+    else:
+        argv = ["resources", "--n-sites", "2", "--out", "/dev/full"]
+    assert cli.main(argv) == 2
+    assert "cannot write /dev/full" in assert_one_line_error(capsys, "config error:")
 
 
 def test_coherent_norm_drift_is_a_numerical_failure_naming_the_time(tmp_path, capsys, monkeypatch):
