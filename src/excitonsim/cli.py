@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -202,18 +203,25 @@ def write_csv(path: Path, columns: list[str], rows, config_echo: dict) -> None:
     _write_lines(path, itertools.chain(head, body))
 
 
+def _read_lines(path):
+    """Each line of a text file without its newline, read one at a time."""
+    try:
+        with Path(path).open() as f:
+            for line in f:
+                yield line.rstrip("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def read_csv(path: str):
     """Read back an emitted CSV: (embedded config or None, columns, data).
 
-    A file that cannot be read or parsed is a ConfigError naming the line."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    Rows are parsed line by line into one float64 buffer. A file that
+    cannot be read or parsed is a ConfigError naming the line."""
     config = None
     columns = None
-    data: list[list[float]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    data = array("d")
+    for lineno, line in enumerate(_read_lines(path), start=1):
         if line.startswith("#"):
             _, _, payload = line.partition("=")
             if config is None and payload.strip():
@@ -232,12 +240,12 @@ def read_csv(path: str):
                     f"{path}:{lineno}: {len(cells)} cells under {len(columns)} columns"
                 )
             try:
-                data.append([float(x) for x in cells])
+                data.extend(map(float, cells))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     if columns is None:
         raise ConfigError(f"no header row in {path}")
-    return config, columns, np.asarray(data, dtype=np.float64).reshape(-1, len(columns))
+    return config, columns, np.frombuffer(data, dtype=np.float64).reshape(-1, len(columns))
 
 
 def cmd_coherent(args) -> int:
@@ -262,8 +270,9 @@ def cmd_coherent(args) -> int:
     columns = ["t_fs", "p0_analytic", "p1_analytic", "p0_circuit", "p1_circuit"]
     if shots > 0:
         columns += ["p0_sampled", "p1_sampled"]
-    # the circuit sets the peak: time and analytic columns, five copies of its amplitudes
-    _check_points(n + 1, "t_max_fs / step_fs", 8 * (1 + h.n_sites) + 80 * (2 << h.n_system_qubits))
+    # the circuit sets the peak: time and analytic columns, one phase angle per
+    # site, and its amplitudes twice over, once more for one gate's temporaries
+    _check_points(n + 1, "t_max_fs / step_fs", 8 * (1 + 2 * h.n_sites) + 32 * (2 << h.n_system_qubits))
     path = _output_path(cfg, args, "coherent.csv")
     t_grid = np.arange(n + 1) * step
 

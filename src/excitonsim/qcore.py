@@ -6,6 +6,9 @@ circuits are immutable. ``_execute_packed`` runs a circuit on a register
 shaped (2^n, *batch), one column per sign pattern or time point: each
 DenseUnitary through ``_apply_dense``, and each run of single-target gates
 between them through ``_apply_ops``, which reads the Gate objects directly.
+Both index one view of the register shaped (2,)*n + batch, in which axis
+n-1-q is qubit q: a gate acts on basic-index views of it, with no index
+arrays and no gathers.
 
 Rotation conventions (fixed; all circuit builders rely on them):
 
@@ -130,14 +133,10 @@ class QuantumCircuit:
 
 
 def _apply_ops(amps, num_qubits, gates) -> None:
-    """Apply a run of single-target gates to ``amps`` in place.
-
-    ``amps`` is shaped (2^num_qubits, *batch); every gate acts on the first
-    axis. A gate's (P,) angle vector holds one angle per index of the first
-    batch axis, which must then have length P.
-    """
-    idx = np.arange(amps.shape[0], dtype=np.int64)
-    state_shape = (-1,) + (1,) * (amps.ndim - 1)
+    """Apply a run of single-target gates, in place, to ``amps``, C-contiguous
+    and shaped (2^num_qubits, *batch). A gate's (P,) angle vector holds one
+    angle per index of the first batch axis, which must then have length P."""
+    view = amps.reshape((2,) * num_qubits + amps.shape[1:])
     angle_shape = (-1,) + (1,) * (amps.ndim - 2)
     for gate in gates:
         angle = gate.angle
@@ -147,64 +146,52 @@ def _apply_ops(amps, num_qubits, gates) -> None:
                     f"a per-column angle vector of length {len(angle)} does not fit a register of shape {amps.shape}"
                 )
             angle = angle.reshape(angle_shape)
-        tbit = 1 << gate.targets[0]
-        cmask = sum(1 << q for q in gate.controls)
-        controlled = (idx & cmask) == cmask
-        if gate.kind is GateKind.CONTROLLED_ROT_Z:
-            # exp(-i half) where the target is 0, exp(+i half) where it is 1,
-            # in real arithmetic: numpy rounds a complex product differently
-            # for a scalar and an array factor, which would make a column's
-            # result depend on the batch it runs in
-            sel = idx[controlled]
-            half = 0.5 * angle
-            c = np.cos(half)
-            s = np.where(sel & tbit, 1.0, -1.0).reshape(state_shape) * np.sin(half)
-            z = amps[sel]
-            out = np.empty_like(z)
-            out.real = c * z.real - s * z.imag
-            out.imag = s * z.real + c * z.imag
-            amps[sel] = out
-            continue
-        i0 = idx[controlled & ((idx & tbit) == 0)]
-        i1 = i0 | tbit
-        a0 = amps[i0]
-        if gate.kind is GateKind.PAULI_X:
-            amps[i0] = amps[i1]
-            amps[i1] = a0
-        else:
-            half = 0.5 * angle
-            c, s = np.cos(half), np.sin(half)
-            a1 = amps[i1]
-            amps[i0] = c * a0 - s * a1
-            amps[i1] = s * a0 + c * a1
+        index = [slice(None)] * num_qubits
+        for q in gate.controls:
+            index[num_qubits - 1 - q] = 1
+        axis = num_qubits - 1 - gate.targets[0]
+        index[axis] = 0
+        a0 = view[(*index, ...)]  # the trailing ... keeps a single state a 0-d view
+        index[axis] = 1
+        _apply_gate(gate.kind, angle, a0, view[(*index, ...)])
 
 
-def _apply_dense(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """Apply a 2^k x 2^k unitary to the subspace spanned by ``targets``.
+def _apply_gate(kind: GateKind, angle, a0: np.ndarray, a1: np.ndarray) -> None:
+    """One single-target gate, in place, on the views ``a0`` and ``a1`` of a
+    register where its controls are 1 and its target is 0 and 1. Its
+    temporaries end with the call, so none outlives its gate."""
+    if kind is GateKind.PAULI_X:
+        a0[...], a1[...] = a1.copy(), a0.copy()
+        return
+    c, s = np.cos(0.5 * angle), np.sin(0.5 * angle)
+    if kind is GateKind.ROT_Y:
+        new0 = c * a0 - s * a1
+        a1 *= c  # c * a1 + s * a0, one temporary fewer
+        a1 += s * a0
+        a0[...] = new0
+        return
+    # exp(-i angle/2) where the target is 0, exp(+i angle/2) where it is 1, in
+    # real arithmetic: numpy rounds a complex product differently for a scalar
+    # and an array factor, which would make a column depend on its batch
+    for z, sz in ((a0, -s), (a1, s)):
+        z.real, z.imag = c * z.real - sz * z.imag, sz * z.real + c * z.imag
 
-    targets[0] is the least significant bit of the gate's own index space.
-    Contracts over the state axis only, so ``amps`` may carry batch axes.
-    """
-    k = len(targets)
-    dim = amps.shape[0]
-    idx = np.arange(dim)
-    sub = np.zeros(dim, dtype=np.int64)
-    for pos, q in enumerate(targets):
-        sub |= ((idx >> q) & 1) << pos
-    tmask = 0
-    for q in targets:
-        tmask |= 1 << q
-    rest = idx & ~tmask
-    order = np.lexsort((sub, rest))
-    gathered = amps[order].reshape(dim >> k, 1 << k, -1)
+
+def _apply_dense(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...]) -> None:
+    """Apply a 2^k x 2^k unitary, in place, to the subspace of ``amps``,
+    C-contiguous and shaped (2^n, *batch), spanned by ``targets``; targets[0]
+    is the least significant bit of the gate's own index space."""
+    n, k = amps.shape[0].bit_length() - 1, len(targets)
+    # the gate's most significant target first, so the front axes read as its index
+    axes = [n - 1 - q for q in reversed(targets)]
+    moved = np.moveaxis(amps.reshape((2,) * n + amps.shape[1:]), axes, range(k))
+    gathered = moved.reshape((1 << k,) + moved.shape[k:])
     mixed = np.zeros_like(gathered)
     # summed term by term, so a column's result does not depend on the batch
     for i in range(1 << k):
         for j in range(1 << k):
-            mixed[:, i] += matrix[i, j] * gathered[:, j]
-    out = np.empty_like(amps)
-    out[order] = mixed.reshape(amps.shape)
-    return out
+            mixed[i] += matrix[i, j] * gathered[j]
+    moved[...] = mixed.reshape(moved.shape)
 
 
 def _site_probs(amps: np.ndarray, n_system_qubits: int) -> np.ndarray:
@@ -215,10 +202,12 @@ def _site_probs(amps: np.ndarray, n_system_qubits: int) -> np.ndarray:
 
 def _execute_packed(amps: np.ndarray, num_qubits: int, segments: list) -> np.ndarray:
     """Run ``QuantumCircuit.packed`` segments on ``amps``, shaped
-    (2^num_qubits, *batch), in place; returns the (possibly new) buffer."""
+    (2^num_qubits, *batch), in place; returns it, or the C-contiguous copy
+    that a strided ``amps`` runs on."""
+    amps = np.ascontiguousarray(amps)
     for seg in segments:
         if isinstance(seg, Gate):
-            amps = _apply_dense(amps, seg.matrix, seg.targets)
+            _apply_dense(amps, seg.matrix, seg.targets)
         else:
             _apply_ops(amps, num_qubits, seg)
     return amps

@@ -207,22 +207,26 @@ def test_controlled_rotz_acts_only_on_control_one_subspace():
 
 
 def test_dense_gate_matches_kron_oracle():
+    """Ascending, descending and single targets, so the order in which the
+    kernel moves the target axes is pinned."""
     rng = np.random.default_rng(11)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    q, _ = np.linalg.qr(m)
-    gate = Gate.dense(q, (0, 2))
-    u = _gate_matrix(gate, 3)
-    # oracle: index bit 0 -> gate bit 0, index bit 2 -> gate bit 1
-    oracle = np.zeros((8, 8), dtype=complex)
-    for i in range(8):
-        for j in range(8):
-            if (i >> 1) & 1 != (j >> 1) & 1:
-                continue
-            gi = ((i >> 0) & 1) | (((i >> 2) & 1) << 1)
-            gj = ((j >> 0) & 1) | (((j >> 2) & 1) << 1)
-            oracle[i, j] = q[gi, gj]
-    assert np.abs(u - oracle).max() < 1e-12
-    assert np.abs(gate_matrix(gate, 3) - oracle).max() < 1e-15
+    for targets in ((0, 2), (2, 0), (1,)):
+        dim = 1 << len(targets)
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        q, _ = np.linalg.qr(m)
+        gate = Gate.dense(q, targets)
+        u = _gate_matrix(gate, 3)
+        # oracle: index bit targets[k] -> gate bit k; the other bits must agree
+        rest = 7 & ~sum(1 << t for t in targets)
+        oracle = np.zeros((8, 8), dtype=complex)
+        for i in range(8):
+            for j in range(8):
+                if i & rest == j & rest:
+                    gi = sum(((i >> t) & 1) << k for k, t in enumerate(targets))
+                    gj = sum(((j >> t) & 1) << k for k, t in enumerate(targets))
+                    oracle[i, j] = q[gi, gj]
+        assert np.abs(u - oracle).max() < 1e-12, targets
+        assert np.abs(gate_matrix(gate, 3) - oracle).max() < 1e-15, targets
 
 
 def test_gate_validation_errors():
@@ -438,3 +442,31 @@ def test_angle_vectors_need_a_batch_axis_of_their_length(register, n_angles):
     shapes = rf"length {n_angles} .*{re.escape(str(register))}"
     with pytest.raises(ValueError, match=shapes):
         run(circuit, amps)
+
+
+def test_a_register_that_does_not_fit_the_qubit_count_is_refused():
+    """The single-target kernel views the register's first axis as
+    num_qubits axes of length 2, so a count that does not match is refused."""
+    segments = QuantumCircuit(2, (Gate.x(0), Gate.ry(0.4, 1))).packed()
+    for shape, num_qubits in (((4,), 3), ((8,), 2), ((4, 3), 3), ((8, 3), 2)):
+        with pytest.raises(ValueError):
+            qcore._execute_packed(np.zeros(shape, dtype=np.complex128), num_qubits, segments)
+
+
+def test_a_strided_register_matches_the_kron_oracle():
+    """A register that is a strided slice of a larger array runs on a
+    contiguous copy and gives the oracle's result; the array is not written."""
+    rng = np.random.default_rng(29)
+    num_qubits, n_columns = 3, 5
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    gates = _random_gates(rng, num_qubits, 20, n_columns) + [Gate.dense(q, (2, 0))]
+    circuit = QuantumCircuit(num_qubits, gates + _random_gates(rng, num_qubits, 20, n_columns))
+    shape = (1 << num_qubits, n_columns, 2)
+    big = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    big /= np.linalg.norm(big, axis=0)
+    before = big.copy()
+    amps = big[:, :, 0]
+    assert not amps.flags.c_contiguous
+    out = qcore._execute_packed(amps, num_qubits, circuit.packed())
+    assert np.abs(out - oracle_run(circuit, before[:, :, 0])).max() < 1e-12
+    assert np.array_equal(big, before)
