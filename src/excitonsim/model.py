@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from excitonsim.errors import ConfigError
 SPEED_OF_LIGHT_CM_PER_FS = 2.99792458e-5
 PHASE_PER_CM1_FS = 2.0 * math.pi * SPEED_OF_LIGHT_CM_PER_FS
 _DIVISIBILITY_RTOL = 1e-9
-# _jacobi_eigh's sweep limit, and its off-diagonal tolerance relative to the largest entry
+# eigendecompose's sweep limit, and its off-diagonal tolerance relative to the largest entry
 _JACOBI_SWEEPS = 50
 _JACOBI_TOL = 1e-14
 
@@ -110,8 +111,7 @@ class SystemHamiltonian:
         return cls.two_site(12900.0, 12300.0, 132.0)
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     """Energies sorted descending; transform rows are the matching eigenvectors.
 
     Satisfies transform.T @ diag(energies) @ transform == H.
@@ -120,18 +120,14 @@ class EigenDecomposition:
     energies_cm1: np.ndarray
     transform: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "energies_cm1", _as_readonly(self.energies_cm1))
-        object.__setattr__(self, "transform", _as_readonly(self.transform))
 
+def eigendecompose(h: SystemHamiltonian) -> EigenDecomposition:
+    """Diagonalize by cyclic Jacobi sweeps, for every chain length; both
+    returned arrays are read-only.
 
-def _jacobi_eigh(a: np.ndarray):
-    """Cyclic Jacobi diagonalization of a small real symmetric matrix.
-
-    Returns (eigenvalues, V) with columns of V the eigenvectors, unsorted.
     Not np.linalg.eigh: LAPACK's code pages measured +0.9 MiB of peak RSS.
     """
-    a = a.astype(np.float64).copy()
+    a = h.matrix()
     n = a.shape[0]
     v = np.eye(n)
     scale = max(np.abs(a).max(), 1.0)
@@ -157,7 +153,10 @@ def _jacobi_eigh(a: np.ndarray):
                 v[:, q] = -s * vp + c * vq
         if off <= _JACOBI_TOL * scale:
             break
-    return np.diag(a).copy(), v
+    w = np.diag(a)
+    # not np.argsort: its first call maps numpy's sort kernels, +0.25 MiB of RSS
+    order = sorted(range(n), key=w.__getitem__)[::-1]
+    return EigenDecomposition(_as_readonly(w[order]), _as_readonly(v[:, order].T))
 
 
 def _two_site(h: SystemHamiltonian, name: str) -> tuple[float, float, float, float]:
@@ -168,14 +167,6 @@ def _two_site(h: SystemHamiltonian, name: str) -> tuple[float, float, float, flo
     eps0, eps1 = h.site_energies_cm1
     j = h.couplings_cm1[0, 1]
     return eps0, eps1, j, math.hypot(eps0 - eps1, 2.0 * j)
-
-
-def eigendecompose(h: SystemHamiltonian) -> EigenDecomposition:
-    """Diagonalize by Jacobi iteration, for every chain length."""
-    w, v = _jacobi_eigh(h.matrix())
-    # not np.argsort: its first call maps numpy's sort kernels, +0.25 MiB of RSS
-    order = sorted(range(w.size), key=w.__getitem__)[::-1]
-    return EigenDecomposition(w[order], v[:, order].T)
 
 
 def mixing_angle(h: SystemHamiltonian) -> float:

@@ -48,25 +48,36 @@ def check_memory(need: int, what: str) -> None:
         )
 
 
+def _compile_bytes(n_sites: int) -> int:
+    """Peak bytes per pattern of ``_step_unitaries``, in a gate: the (2D, D) complex128
+    register (D = n_sites), the gate's temporaries (1.5 registers for a two-site RotY
+    before numpy elides one, 1 + 1/D for a DenseUnitary) and each site's float64 angle."""
+    block = 32 * n_sites * n_sites
+    return block + (3 * block // 2 if n_sites == 2 else block + block // n_sites) + 8 * n_sites
+
+
 def check_ensemble_memory(noise_cfg: "FluctuatorConfig", ens: "EnsembleConfig") -> None:
     """ConfigError if the ensemble's peak would not fit in physical memory.
 
     Its phases peak one after another: the draw (one run's int64 sign bits,
     and every run's keys of n_sites counts per interval in the smallest dtype
     that holds F, with the copies and int64 indices np.unique makes), the
-    compile (six copies of a (2D, D) complex128 block, D = n_sites, for each
-    of at most (F + 1)^n_sites patterns) and the steps (the float64 shot
-    frequencies, the int32 pattern index, and per point the mean, its error
-    and one run's counts). Each run also holds a seed sequence and state."""
+    compile (``_compile_bytes`` for each of at most (F + 1)^n_sites patterns)
+    and the steps (each pattern's step unitary, the float64 shot frequencies,
+    and per point the mean, its error and one run's counts). The pattern sums
+    and the int32 pattern index outlive the draw, and each run holds a seed
+    sequence and state."""
     f, n = noise_cfg.fluctuators_per_site, noise_cfg.n_sites
     n_points = ens.n_steps + 1
     n_intervals = max(-(-ens.n_steps // noise_cfg.switch_interval_steps(ens.dt_fs)), 1)
     keys = ens.runs * n_intervals
+    n_patterns = min((f + 1) ** n, keys)
     draw = n * (f + 1) * n_intervals * 8 + keys * (3 * n * np.min_scalar_type(f).itemsize + 32)
-    compile_ = min((f + 1) ** n, keys) * 6 * 32 * n * n
-    steps = ens.runs * (n_points * 8 * n + n_intervals * 4) + n_points * 8 * (4 * n + 1)
+    compile_ = n_patterns * _compile_bytes(n)
+    steps = n_patterns * 16 * n * n + ens.runs * n_points * 8 * n + n_points * 8 * (4 * n + 1)
+    held = n_patterns * 8 * n + keys * 4 + ens.runs * (1024 + 32 * n * n) + FIXED_BYTES
     check_memory(
-        max(draw, compile_, steps) + ens.runs * (1024 + 32 * n * n) + FIXED_BYTES,
+        max(draw, compile_, steps) + held,
         f"runs={ens.runs} with {f} fluctuators per site "
         "(per-run frequencies, pattern keys and step unitaries)",
     )
@@ -200,11 +211,8 @@ def _step_unitaries(
     """
     n_sys = h.n_system_qubits
     dim = 1 << n_sys
-    n_patterns = len(patterns)
-    if n_patterns == 0:
-        return np.empty((0, dim, dim), dtype=np.complex128)
     circuit = build_iteration_circuit(h, dt_fs, patterns, noise_cfg.strengths_cm1)
-    amps = np.zeros((2 * dim, n_patterns, dim), dtype=np.complex128)
+    amps = np.zeros((2 * dim, len(patterns), dim), dtype=np.complex128)
     amps[dim:] = np.eye(dim)[:, None, :]
     amps = _execute_packed(amps, n_sys + 1, circuit.packed())
     leak = (amps[:dim].real ** 2 + amps[:dim].imag ** 2).sum(axis=0)

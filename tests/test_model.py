@@ -34,6 +34,23 @@ def test_eigendecompose_diagonal_case():
     assert np.allclose(decomp.transform, np.eye(2))
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_eigensystem_is_read_only_and_computed_once(n):
+    eps = 12500.0 + 100.0 * np.arange(n)
+    j = np.full((n, n), 80.0)
+    np.fill_diagonal(j, 0.0)
+    h = SystemHamiltonian(eps, j)
+    decomp = model.eigendecompose(h)
+    for arr in decomp:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert h.eigensystem is h.eigensystem
+    for cached, fresh in zip(h.eigensystem, decomp):
+        assert np.array_equal(cached, fresh)
+    assert h.eigensystem._fields == ("energies_cm1", "transform")
+
+
 @pytest.mark.parametrize(
     "h,omega",
     [

@@ -372,6 +372,45 @@ def test_ensemble_peak_memory_is_within_its_budget(monkeypatch, n_sites, per_sit
     assert len(needs) == 1 and peak <= needs[0], peak / needs[0]
 
 
+def test_ensemble_budget_counts_what_the_steps_hold(monkeypatch):
+    """Where the steps set the need, the step unitaries of every drawn
+    pattern and the pattern sums are live beside the frequencies: at four
+    sites, F = 8 and 810 runs the traced peak was 1.02 of a need without them."""
+    cfg = FluctuatorConfig.uniform(300.0, 4, 125.0, fluctuators_per_site=8)
+    ens = EnsembleConfig(runs=810, shots=100, dt_fs=2.0, t_max_fs=600.0, master_seed=6)
+    needs = []
+    monkeypatch.setattr(noise, "check_memory", lambda need, what: needs.append(need))
+    import numpy.random  # noqa: F401  loaded lazily; trace the ensemble, not this import
+
+    tracemalloc.start()
+    try:
+        noise.run_ensemble(four_site_chain(), cfg, ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(needs) == 1 and peak <= needs[0], peak / needs[0]
+
+
+@pytest.mark.parametrize("n_sites, per_site", [(2, 200), (4, 6)])
+def test_step_unitaries_peak_memory_is_near_its_compile_budget(n_sites, per_site):
+    """check_ensemble_memory's compile term, with noise.FIXED_BYTES, bounds
+    the traced peak of _step_unitaries over every (F + 1)^n_sites pattern,
+    and is not loose by more than its share of unelided temporaries."""
+    h = NEAR if n_sites == 2 else four_site_chain()
+    cfg = FluctuatorConfig.uniform(300.0, n_sites, 125.0, fluctuators_per_site=per_site)
+    values = np.arange(per_site + 1) - per_site / 2
+    patterns = np.array(list(itertools.product(values, repeat=n_sites)))
+    budget = len(patterns) * noise._compile_bytes(n_sites) + noise.FIXED_BYTES
+    tracemalloc.start()
+    try:
+        unitaries = noise._step_unitaries(h, cfg, 2.0, patterns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert unitaries.shape == (len(patterns), n_sites, n_sites)
+    assert 0.7 < peak / budget <= 1.0, peak / budget
+
+
 def test_sign_patterns_hold_one_run_of_bits_at_a_time():
     """check_ensemble_memory budgets one run's int64 sign bits for the draw."""
     cfg = FluctuatorConfig.uniform(300.0, 2, 125.0, fluctuators_per_site=20_000)
